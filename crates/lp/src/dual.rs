@@ -23,17 +23,20 @@
 //!    past three quarters of the budget, the whole selection degrade to
 //!    smallest-variable-index, the anti-cycling regime).
 //! 2. **Pivot row** — `ρ = B⁻ᵀ e_r` by one BTRAN, then the whole row
-//!    `α = ρᵀA_N` **row-wise over ρ's support**: a row → columns index
-//!    (built once per repair) scatters `ρ_i·a_ij` into a stamped
-//!    accumulator, so the cost is the nonzeros of the rows ρ actually
-//!    touches — not one dot product per nonbasic column. The sparse-LU
+//!    `α = ρᵀA_N` **row-wise over ρ's support**: the engine's
+//!    [`PivotRow`] kernel — the same one the primal loop prices with,
+//!    its row → columns index built once per engine and shared with the
+//!    phase-2 pass that follows the repair — scatters `ρ_i·a_ij` into a
+//!    stamped accumulator, so the cost is the nonzeros of the rows ρ
+//!    actually touches, not one dot product per nonbasic column (basic
+//!    and zero-width columns are left out altogether). The sparse-LU
 //!    BTRAN keeps ρ sparse, which is what makes this the dominant win at
 //!    large p; the sweep is still *exact* full pricing (every column with
 //!    `α_j ≠ 0` is found — only such columns can absorb the violation),
 //!    so no candidate-list heuristics or dry-list fallbacks are needed.
 //!    Reduced costs come from an incrementally-maintained cache
 //!    (`z_j ← z_j − θ·α_j` touches exactly the scattered columns),
-//!    reseeded whenever the factorization is rebuilt.
+//!    reseeded whenever the factorization has been rebuilt.
 //! 3. **Dual ratio test** — `choose_entering_dual` in [`crate::bounded`]:
 //!    sign-aware eligibility per status, dual ratios `|z_j|/|α_j|` walked
 //!    in tied groups (Bland/largest-`|α|` tie-breaks), **bound flips**
@@ -70,8 +73,9 @@
 //! go back cold.
 
 use crate::bounded::{choose_entering_dual, DualCand};
+use crate::pricing::PivotRow;
 use crate::scalar::Scalar;
-use crate::sparse::{scatter, Engine};
+use crate::sparse::{load_column, Engine};
 use std::time::Instant;
 
 impl<S: Scalar> Engine<'_, S> {
@@ -242,80 +246,26 @@ impl<S: Scalar> Engine<'_, S> {
         }
     }
 
-    /// Reduced costs of every structural column under prices `y` (basic
-    /// columns get an exact zero) — the seed of the incremental
-    /// reduced-cost cache maintained across dual pivots.
-    fn reduced_costs_all(&self, costs: &[S], y: &[S]) -> Vec<S> {
-        (0..self.sf.art_start)
-            .map(|j| {
-                if self.st.in_basis[j] {
-                    S::zero()
-                } else {
-                    self.reduced_cost(j, costs, y)
-                }
-            })
-            .collect()
-    }
-
     fn dual_loop(&mut self, budget: usize, iters: &mut usize, costs: &[S]) -> bool {
-        let m = self.sf.m;
-        // Row → structural-column index: `row_cols[i]` lists every
-        // `(j, a_ij)` nonzero in row `i`. One O(nnz) pass per repair —
-        // the price of admission for computing each pivot row `α = ρᵀA_N`
-        // **over ρ's support** instead of one dot product per nonbasic
-        // column. The sparse-LU BTRAN keeps ρ sparse, so most iterations
-        // touch a small fraction of the matrix; and unlike the
-        // candidate-list heuristics this replaced, the scatter is still
-        // *exact* full pricing — every column with `α_j ≠ 0` is found,
-        // and only such columns can absorb the row's violation.
-        // Flat CSR layout (row pointers + parallel column/value arrays)
-        // rather than a Vec per row: the scatter below is the innermost
-        // loop of the whole repair, and walking two contiguous arrays is
-        // measurably cheaper than hopping per-row heap allocations.
-        let mut row_len = vec![0usize; m];
-        for j in 0..self.sf.art_start {
-            for i in self.sf.column(j).0 {
-                row_len[*i] += 1;
-            }
-        }
-        let mut row_ptr = vec![0usize; m + 1];
-        for i in 0..m {
-            row_ptr[i + 1] = row_ptr[i] + row_len[i];
-        }
-        let mut rc_col = vec![0u32; row_ptr[m]];
-        let mut rc_val = vec![S::zero(); row_ptr[m]];
-        let mut fill = row_ptr.clone();
-        for j in 0..self.sf.art_start {
-            let (rows, vals) = self.sf.column(j);
-            for (i, a) in rows.iter().zip(vals) {
-                rc_col[fill[*i]] = j as u32;
-                rc_val[fill[*i]] = a.clone();
-                fill[*i] += 1;
-            }
-        }
-        // Stamped scatter accumulator for the pivot row: `alpha[j]` is
-        // valid iff `stamp[j] == generation`, so clearing between
-        // iterations is one counter bump, not an O(n) sweep.
-        let mut alpha: Vec<S> = vec![S::zero(); self.sf.art_start];
-        let mut stamp: Vec<u32> = vec![0; self.sf.art_start];
-        let mut touched: Vec<usize> = Vec::new();
-        let mut generation: u32 = 0;
+        let sf = self.sf;
+        let m = sf.m;
+        // The columns a dual pivot can enter: structural, and not a
+        // zero-width box (`u = 0` admits any reduced-cost sign and can
+        // absorb nothing; artificials are pinned there on every warm
+        // engine). Everything else stays out of the pivot-row scatter and
+        // of the reduced-cost cache.
+        let active: Vec<bool> = (0..sf.ncols)
+            .map(|j| j < sf.art_start && !self.st.upper[j].as_ref().is_some_and(|u| u.is_zero()))
+            .collect();
         // Reduced costs are cached and maintained incrementally across
         // pivots (`z_j ← z_j − θ·α_j` touches exactly the scattered
-        // columns, and is exact for the same reason the price update
-        // below is), so the full O(nnz) repricing is paid only at the
-        // start and after a refactorization flushes accumulated drift.
+        // columns), so the full O(nnz) repricing is paid only at the start
+        // and after a refactorization — which doubles as the flush for
+        // accumulated `f64` drift. `seeded_at` is the refactorization
+        // count of the last seed (none yet).
         let mut zc: Vec<S> = Vec::new();
-        // Prices are maintained *incrementally*: a dual pivot replaces one
-        // basic cost, and the new prices are exactly
-        // `y' = y + (z_q/α_q)·ρ` — `y'·a_q = y·a_q + z_q = c_q` prices the
-        // entering column to zero, while `ρ·a_b = e_r·(B⁻¹a_b) = 0` leaves
-        // every other basic column priced. That turns the second full
-        // BTRAN per iteration into an O(m) vector update; the
-        // refactorization points (where `fresh` resets) double as the
-        // flush for accumulated `f64` drift.
-        let mut y: Vec<S> = Vec::new();
-        let mut last_fresh = usize::MAX;
+        let mut seeded_at = usize::MAX;
+        let mut d = vec![S::zero(); m];
         // Dual devex reference weights over the basis rows (see
         // `leaving_row`): start at 1, updated below from each pivot's
         // FTRAN'd entering column — the dual mirror of the primal devex
@@ -332,63 +282,35 @@ impl<S: Scalar> Engine<'_, S> {
             if *iters >= budget {
                 return false;
             }
-            // The BTRAN'd pivot row — the one unavoidable pass over the
-            // factorization per iteration, against the many whole
-            // iterations each restored row saves.
-            let mut rho = vec![S::zero(); m];
-            rho[r] = S::one();
-            self.st.factors.btran(&mut rho);
-            // Fresh prices and reduced costs only at the start and after a
-            // refactorization (`fresh` dropped); otherwise the
-            // incrementally-updated vectors from the last pivot are
-            // already exact.
-            if last_fresh == usize::MAX || self.st.factors.fresh() < last_fresh {
-                y = self.prices(costs);
-                zc = self.reduced_costs_all(costs, &y);
-            }
-            last_fresh = self.st.factors.fresh();
-
             let tp = Instant::now();
-            // Scatter `α_j = Σ_i ρ_i·a_ij` over ρ's support.
-            generation += 1;
-            touched.clear();
-            for (i, ri) in rho.iter().enumerate() {
-                if ri.is_zero() {
-                    continue;
-                }
-                for t in row_ptr[i]..row_ptr[i + 1] {
-                    let j = rc_col[t] as usize;
-                    let v = ri.mul(&rc_val[t]);
-                    if stamp[j] == generation {
-                        alpha[j] = alpha[j].add(&v);
-                    } else {
-                        stamp[j] = generation;
-                        alpha[j] = v;
-                        touched.push(j);
-                    }
-                }
+            if self.st.factors.refactorizations() != seeded_at {
+                seeded_at = self.reseed(costs, &active, &mut zc);
             }
+            // The pivot row `α = ρᵀA_N`, `ρ = B⁻ᵀe_r`, row-wise over ρ's
+            // support: one BTRAN — the one unavoidable pass over the
+            // factorization per iteration — and a scatter whose cost is
+            // the nonzeros of the rows ρ touches. The sparse-LU BTRAN
+            // keeps ρ sparse, and the scatter is still *exact* full
+            // pricing: every column with `α_j ≠ 0` is found, and only
+            // such columns can absorb the row's violation.
+            let pr = self.pivot_row.get_or_insert_with(|| PivotRow::new(sf));
+            pr.compute(&self.st.factors, r, &active, &self.st.in_basis);
             let mut cands: Vec<DualCand<S>> = Vec::new();
-            for &j in &touched {
-                if self.st.in_basis[j] {
-                    continue;
-                }
-                if self.st.upper[j].as_ref().is_some_and(|u| u.is_zero()) {
-                    continue;
-                }
+            for &j in pr.touched() {
+                let alpha = pr.alpha(j);
                 // Columns whose α sign cannot reduce the violated
                 // direction never participate in the ratio test — filter
                 // them here (they still get their `zc` update below, the
-                // `touched` list is what stays complete).
+                // touched list is what stays complete).
                 let want_pos = if above {
                     !self.st.at_upper[j]
                 } else {
                     self.st.at_upper[j]
                 };
                 let eligible = if want_pos {
-                    alpha[j].is_positive()
+                    alpha.is_positive()
                 } else {
-                    alpha[j].is_negative()
+                    alpha.is_negative()
                 };
                 if !eligible {
                     continue;
@@ -398,19 +320,19 @@ impl<S: Scalar> Engine<'_, S> {
                 // basis goes numerically singular and every later
                 // FTRAN/BTRAN disagrees), and the dual ratios it implies
                 // are pure noise anyway.
-                if alpha[j].is_negligible_pivot() {
+                if alpha.is_negligible_pivot() {
                     continue;
                 }
                 cands.push(DualCand {
                     col: j,
-                    alpha: alpha[j].clone(),
+                    alpha: alpha.clone(),
                     z: zc[j].clone(),
                     upper: self.st.upper[j].clone(),
                     at_upper: self.st.at_upper[j],
-                    nnz: self.sf.column(j).0.len(),
+                    nnz: sf.column(j).0.len(),
                 });
             }
-            self.stats.priced_columns += touched.len();
+            self.stats.priced_columns += pr.touched().len();
             let step = choose_entering_dual(&cands, above, &viol);
             self.stats.pricing_ms += tp.elapsed().as_secs_f64() * 1e3;
             // Unbounded row: the scatter is exhaustive, so nothing can
@@ -460,17 +382,17 @@ impl<S: Scalar> Engine<'_, S> {
                 .find(|c| c.col == q)
                 .map(|c| (c.z.clone(), c.alpha.clone()))
                 .expect("entering column came from the candidate set");
-            let mut d = scatter(self.sf, q);
+            load_column(sf, q, &mut d);
             self.st.factors.ftran(&mut d);
             if d[r].is_zero() {
                 // ρ·a_q said nonzero, FTRAN says zero: the eta file has
                 // drifted until its two transform directions disagree.
                 // A stale factorization is repairable — rebuild it and
-                // re-run the iteration on fresh numbers; give up only if
-                // the disagreement survives a fresh factorization.
+                // re-run the iteration on fresh numbers (the rebuild also
+                // reseeds the reduced costs); give up only if the
+                // disagreement survives a fresh factorization.
                 if self.st.factors.fresh() > 0 {
                     self.reinvert();
-                    last_fresh = usize::MAX;
                     continue;
                 }
                 return false;
@@ -527,28 +449,19 @@ impl<S: Scalar> Engine<'_, S> {
                     }
                 }
             }
-            self.pivot(r, q, &d, &t, sigma_pos, above);
-            // The incremental price update (see above): one O(m) sweep
-            // over ρ's support instead of a BTRAN next iteration.
-            let theta = zq.div(&aq);
-            for (yi, ri) in y.iter_mut().zip(&rho) {
-                if !ri.is_zero() {
-                    *yi = yi.add(&theta.mul(ri));
-                }
-            }
             // `z_j ← z_j − θ·α_j` over the scattered columns — exactly
-            // the α ≠ 0 columns, so every other cached entry is already
-            // correct. Columns in the basis are skipped (their cached
-            // entries are ignored until they leave); the leaver re-enters
-            // the cache at `−θ` (its α against its own pivot row is 1).
-            for &j in &touched {
-                if !self.st.in_basis[j] {
-                    zc[j] = zc[j].sub(&theta.mul(&alpha[j]));
-                }
+            // the live α ≠ 0 columns, so every other cached entry is
+            // already correct. The entering column's entry is ignored
+            // until it leaves again; the leaver re-enters the cache at
+            // `−θ` (its α against its own pivot row is 1).
+            let theta = zq.div(&aq);
+            for &j in pr.touched() {
+                zc[j] = zc[j].sub(&theta.mul(pr.alpha(j)));
             }
-            if leave < self.sf.art_start {
+            if active[leave] {
                 zc[leave] = theta.neg();
             }
+            self.pivot(r, q, &d, &t, sigma_pos, above);
             *iters += 1;
         }
     }

@@ -269,9 +269,8 @@ pub trait BasisFactorization<S: Scalar> {
         policy: &RefactorPolicy,
     ) -> Option<Refactorized>;
     /// Updates absorbed since the last refactorization — resets to zero
-    /// at each refactorization point, which callers maintaining
-    /// incrementally-updated vectors (the dual loop's prices) use as
-    /// their refresh signal.
+    /// at each refactorization point; the engines hold it against the
+    /// policy's update cap and residual-check interval.
     fn fresh(&self) -> usize;
     /// Stored nonzeros right now (grows with updates; the fill-growth
     /// refactorization trigger compares it against [`Self::base_nnz`]).
@@ -1140,10 +1139,17 @@ impl<S: Scalar> Factorization<S> {
         out
     }
 
-    /// Updates absorbed since the last refactorization (the dual loop's
-    /// price-refresh signal; see [`BasisFactorization::fresh`]).
+    /// Updates absorbed since the last refactorization (see
+    /// [`BasisFactorization::fresh`]).
     pub(crate) fn fresh(&self) -> usize {
         self.as_trait().fresh()
+    }
+
+    /// Full factorizations performed so far. Vectors maintained
+    /// incrementally across pivots (the reduced-cost caches) are reseeded
+    /// whenever this moves.
+    pub(crate) fn refactorizations(&self) -> usize {
+        self.stats.refactorizations
     }
 
     /// Stored nonzeros right now.

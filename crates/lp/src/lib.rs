@@ -79,6 +79,6 @@ pub use problem::{Cmp, LinExpr, Problem, Sense, Var};
 pub use scalar::Scalar;
 pub use simplex::{OptionsError, SimplexOptions, SimplexOptionsBuilder};
 pub use solution::{PivotRule, Solution, SolveError, Status};
-pub use sparse::{SparseRevised, SparseState};
+pub use sparse::{CacheAudit, SparseRevised, SparseState};
 pub use standard::{lower, lower_with, refresh, BoundMode, KernelOutput, StandardForm};
 pub use warm::{ShapeMismatch, WarmKernelSolve, WarmOutcome, WarmRun, WarmStart};

@@ -3,9 +3,8 @@
 //!
 //! Pivot counts stopped being the bottleneck once the warm ladder landed:
 //! with bound flips free and the basis small, most of a pivot's wall-clock
-//! is spent *pricing* — walking nonbasic columns computing reduced costs
-//! (primal) or pivot-row entries `α_j = ρ·a_j` (dual). This module owns
-//! the two answers:
+//! is spent *pricing* — finding out which nonbasic columns matter. This
+//! module owns the three answers:
 //!
 //! * **Devex reference pricing** ([`Devex`], Forrest–Goldfarb style
 //!   approximate steepest edge) for the primal engines: entering column is
@@ -17,12 +16,20 @@
 //!   current basis (all weights back to 1). Weights are plain `f64` even
 //!   under the exact scalar — they only rank candidates, every pivot still
 //!   runs in exact arithmetic.
-//! * **Row-wise pivot-row pricing** for the dual engine: each pivot row
-//!   `α = ρᵀA_N` is scattered over ρ's support through a row → columns
-//!   index (see the dual loop in `crate::dual`), so its cost tracks the
-//!   nonzeros of the rows the sparse-LU BTRAN actually touches — while
-//!   remaining *exact* full pricing, since only a column with `α_j ≠ 0`
-//!   can absorb the leaving row's violation.
+//! * **One row-wise pivot-row kernel** ([`PivotRow`]) for *both* sparse
+//!   simplex directions: each pivot row `α = ρᵀA_N` is scattered over ρ's
+//!   support through a row → columns index built once per engine, so its
+//!   cost tracks the nonzeros of the rows the sparse-LU BTRAN actually
+//!   touches — while remaining *exact* full pricing, since every column
+//!   with `α_j ≠ 0` is found. The dual reads the row for its ratio test
+//!   (only such columns can absorb the leaving row's violation); the
+//!   primal reads it for the devex weights.
+//! * **Maintained reduced costs**, driven by that row: both directions
+//!   seed `z_j = c_j − y·a_j` with one full sweep, then carry it across
+//!   each pivot as `z_j ← z_j − (z_q/α_q)·α_j` on the touched columns
+//!   only, and reseed from a fresh BTRAN whenever the basis has been
+//!   refactorized since. The primal declares optimality only on a fresh
+//!   sweep (see [`crate::sparse`]); Bland's rule never uses the cache.
 //!
 //! The engine-facing choice is the [`Pricing`] enum on
 //! [`SimplexOptions`](crate::SimplexOptions), resolved per scalar by
@@ -33,8 +40,10 @@
 //! [`KernelOutput`](crate::KernelOutput) and
 //! [`Solution`](crate::Solution).
 
+use crate::factor::Factorization;
 use crate::scalar::Scalar;
 use crate::solution::PivotRule;
+use crate::standard::StandardForm;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Entering-variable pricing strategy for a solve.
@@ -112,11 +121,18 @@ pub fn default_pricing() -> Pricing {
 
 /// How much pricing work a solve did: reduced-cost / pivot-row-entry
 /// evaluations and the wall-clock spent selecting entering columns
-/// (devex weight maintenance and dual candidate assembly included).
+/// (pivot-row BTRAN and scatter, reduced-cost and devex weight
+/// maintenance, dual candidate assembly included).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PricingStats {
-    /// Columns whose reduced cost (primal) or pivot-row entry `α_j`
-    /// (dual) was evaluated, summed over all iterations and phases.
+    /// Column evaluations, summed over all iterations and phases — one
+    /// definition for both simplex directions: the columns whose reduced
+    /// cost a **fresh sweep** computed from scratch (cache seeds and
+    /// reseeds, the optimality proof, every Bland or composite-repair
+    /// iteration), plus the columns a **pivot-row scatter** touched
+    /// (`α_j` computed and `z_j` updated). Scanning the maintained
+    /// reduced costs for the best candidate evaluates nothing and is not
+    /// counted.
     pub priced_columns: usize,
     /// Wall-clock spent in entering-column selection, in milliseconds.
     pub pricing_ms: f64,
@@ -149,13 +165,15 @@ pub(crate) const DEVEX_RESET: f64 = 1e7;
 /// w_l ← max(w_q/α_q², 1)
 /// ```
 ///
-/// which needs exactly the pivot row `α` — one extra BTRAN per pivot for
-/// the revised kernel, free for the dense tableau. Weights only *rank*
+/// which needs exactly the pivot row `α` — the row the revised kernel
+/// already computes to carry its reduced costs across the pivot (see
+/// [`PivotRow`]), and a tableau row for the dense kernel. Weights only *rank*
 /// candidates, so they stay `f64` under every scalar backend; exactness is
 /// untouched.
 pub(crate) struct Devex {
     w: Vec<f64>,
     max_w: f64,
+    #[cfg(test)]
     resets: usize,
 }
 
@@ -164,6 +182,7 @@ impl Devex {
         Devex {
             w: vec![1.0; ncols],
             max_w: 1.0,
+            #[cfg(test)]
             resets: 0,
         }
     }
@@ -175,8 +194,8 @@ impl Devex {
         z * z / self.w[j]
     }
 
-    /// Framework resets performed so far (diagnostic).
-    #[allow(dead_code)] // exercised by the unit tests
+    /// Framework resets performed so far.
+    #[cfg(test)]
     pub(crate) fn resets(&self) -> usize {
         self.resets
     }
@@ -228,7 +247,113 @@ impl Devex {
             *w = 1.0;
         }
         self.max_w = 1.0;
-        self.resets += 1;
+        #[cfg(test)]
+        {
+            self.resets += 1;
+        }
+    }
+}
+
+/// One **pivot row** `α = ρᵀA`, `ρ = B⁻ᵀe_r`, computed row-wise — the one
+/// kernel behind both simplex directions' pricing.
+///
+/// Owns a row → columns (CSR) copy of the constraint matrix, ≈ 12 bytes
+/// per nonzero, built once per engine and dropped with it, so that a pivot
+/// row costs the nonzeros of the rows `ρ` actually touches instead of one
+/// dot product per nonbasic column. `alpha[j]` is valid iff
+/// `stamp[j] == generation`: clearing between pivots is one counter bump.
+pub(crate) struct PivotRow<S> {
+    row_ptr: Vec<usize>,
+    col: Vec<u32>,
+    val: Vec<S>,
+    rho: Vec<S>,
+    alpha: Vec<S>,
+    stamp: Vec<u32>,
+    generation: u32,
+    touched: Vec<usize>,
+}
+
+impl<S: Scalar> PivotRow<S> {
+    /// Index every column of `sf` by row (flat arrays, not a `Vec` per
+    /// row: the scatter below is the innermost loop of a solve).
+    pub(crate) fn new(sf: &StandardForm<S>) -> PivotRow<S> {
+        let mut row_ptr = vec![0usize; sf.m + 1];
+        for &i in &sf.row_idx {
+            row_ptr[i + 1] += 1;
+        }
+        for i in 0..sf.m {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        let mut fill = row_ptr.clone();
+        let mut col = vec![0u32; sf.row_idx.len()];
+        let mut val = vec![S::zero(); sf.row_idx.len()];
+        for j in 0..sf.ncols {
+            let (rows, vals) = sf.column(j);
+            for (&i, a) in rows.iter().zip(vals) {
+                col[fill[i]] = j as u32;
+                val[fill[i]] = a.clone();
+                fill[i] += 1;
+            }
+        }
+        PivotRow {
+            row_ptr,
+            col,
+            val,
+            rho: vec![S::zero(); sf.m],
+            alpha: vec![S::zero(); sf.ncols],
+            stamp: vec![0; sf.ncols],
+            generation: 0,
+            touched: Vec::new(),
+        }
+    }
+
+    /// Compute the pivot row of basis row `row`: one BTRAN of `e_row`,
+    /// then `α_j = Σ_i ρ_i·a_ij` scattered over `ρ`'s support. Basic and
+    /// inactive columns are left out — nothing reads their entries. The
+    /// result is *exact* full pricing: every live column with `α_j ≠ 0`
+    /// ends up in [`touched`](Self::touched).
+    pub(crate) fn compute(
+        &mut self,
+        factors: &Factorization<S>,
+        row: usize,
+        active: &[bool],
+        in_basis: &[bool],
+    ) {
+        self.rho.fill(S::zero());
+        self.rho[row] = S::one();
+        factors.btran(&mut self.rho);
+        self.generation += 1;
+        self.touched.clear();
+        for (i, ri) in self.rho.iter().enumerate() {
+            if ri.is_zero() {
+                continue;
+            }
+            for t in self.row_ptr[i]..self.row_ptr[i + 1] {
+                let j = self.col[t] as usize;
+                if in_basis[j] || !active[j] {
+                    continue;
+                }
+                let v = ri.mul(&self.val[t]);
+                if self.stamp[j] == self.generation {
+                    self.alpha[j] = self.alpha[j].add(&v);
+                } else {
+                    self.stamp[j] = self.generation;
+                    self.alpha[j] = v;
+                    self.touched.push(j);
+                }
+            }
+        }
+    }
+
+    /// The columns the last [`compute`](Self::compute) scattered into.
+    pub(crate) fn touched(&self) -> &[usize] {
+        &self.touched
+    }
+
+    /// `α_j` of the last pivot row, for `j` in [`touched`](Self::touched).
+    pub(crate) fn alpha(&self, j: usize) -> &S {
+        debug_assert_eq!(self.stamp[j], self.generation);
+        &self.alpha[j]
     }
 }
 

@@ -14,12 +14,33 @@
 //!
 //! * **FTRAN** (`d = B⁻¹ a_q`) solves against the factors — the entering
 //!   column for the ratio test.
-//! * **BTRAN** (`y = B⁻ᵀ c_B`) solves transposed — the
-//!   dual prices for reduced-cost pricing.
-//! * **Pricing** walks nonzero column entries only: `z_j = c_j − y·a_j`
-//!   costs O(nnz) per iteration instead of the dense kernel's
-//!   O(rows·cols) pivot. With native bounds the test is sign-aware:
-//!   at-lower columns enter on `z_j > 0`, at-upper columns on `z_j < 0`.
+//! * **BTRAN** (`y = B⁻ᵀ c_B`, `ρ = B⁻ᵀ e_r`) solves transposed — the
+//!   dual prices that seed the reduced costs, and the pivot row that
+//!   carries them across a pivot.
+//! * **Pricing** selects from **maintained reduced costs**. A full sweep
+//!   `z_j = c_j − y·a_j` over the nonbasic columns (O(nnz)) is paid once
+//!   per phase to seed `z`; after that each basis change costs one BTRAN
+//!   of `e_r` and one **row-wise pivot row** `α = ρᵀA_N`, scattered over
+//!   `ρ`'s support through the engine's [`PivotRow`] index, and the
+//!   update `z_j ← z_j − (z_q/α_q)·α_j` touches exactly the scattered
+//!   columns (`z_leave = −z_q/α_q`, `z_q = 0`; a bound flip changes no
+//!   basis and no `z`). Choosing the entering column is then a scan of
+//!   `z` — devex `z_j²/w_j` or Dantzig `|z_j|` — with no dot products at
+//!   all. With native bounds the test is sign-aware: at-lower columns
+//!   enter on `z_j > 0`, at-upper columns on `z_j < 0`.
+//!   **Reseed rule:** `z` is recomputed from a fresh BTRAN whenever the
+//!   basis was refactorized since the last seed (update cap, fill growth,
+//!   rejected update, FTRAN-residual tripwire) — the refactorization
+//!   flushes the factors' `f64` drift, the reseed flushes the cache's.
+//!   **Optimality proof:** a scan of maintained values that finds no
+//!   candidate is a statement about accumulated arithmetic, so the loop
+//!   then reseeds and scans again, and reports optimality only when the
+//!   *fresh* sweep is empty too — the answer never rests on a stale `z`.
+//!   Bland's rule (the exact default, and every rule's anti-cycling tail)
+//!   reprices from scratch each iteration and never consults the cache;
+//!   so does the composite repair, whose cost vector changes every
+//!   iteration. The dual repair ([`crate::dual`]) runs the same
+//!   [`PivotRow`] kernel and the same reseed rule from the other side.
 //! * **Bounded ratio test** (see [`crate::bounded`]): a step is blocked by
 //!   a basic variable hitting either of its bounds *or* by the entering
 //!   variable reaching its own opposite bound — a **bound flip** that
@@ -51,9 +72,9 @@
 //! Pivoting rules mirror the dense kernel (see [`crate::pricing`]): Bland
 //! for exact scalars (the anti-cycling guarantee matters — steady-state
 //! LPs are heavily degenerate), devex reference pricing with a Bland
-//! stall-fallback for `f64` (the devex weight update costs one extra
-//! BTRAN + one nonzero sweep per pivot — repaid by the shorter path the
-//! steepest-edge approximation walks). Zero-level
+//! stall-fallback for `f64` (the devex weight update reads the same
+//! pivot row the reduced-cost update needs, so the weights ride along for
+//! free). Zero-level
 //! artificials that linger in the basis after phase 1 are never pivoted
 //! out eagerly; instead every artificial is **pinned to `u = 0`** once
 //! phase 1 ends, so the bounded ratio test blocks any step that would
@@ -67,7 +88,7 @@ use crate::bounded::{
 };
 use crate::factor::{Factor, Factorization, RefactorMode, RefactorPolicy};
 use crate::kernel::{Kernel, LpKernel};
-use crate::pricing::{Devex, PricingStats};
+use crate::pricing::{Devex, PivotRow, PricingStats};
 use crate::scalar::Scalar;
 use crate::simplex::SimplexOptions;
 use crate::solution::{PivotRule, SolveError};
@@ -339,26 +360,56 @@ pub(crate) struct Engine<'a, S> {
     /// When to refactorize (update cap, fill growth, stability; see
     /// [`RefactorPolicy`]) — shared by both factorization backends.
     pub(crate) policy: RefactorPolicy,
+    /// The row-wise pivot-row kernel, built by the first pass that needs
+    /// one and shared by every later pass (dual repair → phase 2). It
+    /// lives and dies with the engine: ≈ 12 bytes per matrix nonzero is
+    /// too much to keep on every resident [`StandardForm`].
+    pub(crate) pivot_row: Option<PivotRow<S>>,
+    /// Test instrumentation, `None` outside [`SparseRevised::solve_audited`].
+    audit: Option<&'a mut CacheAudit>,
 }
 
-/// Scatter column `j` of the constraint matrix into a dense workvec.
-pub(crate) fn scatter<S: Scalar>(sf: &StandardForm<S>, j: usize) -> Vec<S> {
-    let mut v = vec![S::zero(); sf.m];
+/// What the primal loop's maintained reduced costs looked like from the
+/// outside — test instrumentation filled by
+/// [`SparseRevised::solve_audited`], which re-derives every reduced cost
+/// from scratch after each primal step and compares.
+#[doc(hidden)]
+#[derive(Clone, Debug, Default)]
+pub struct CacheAudit {
+    /// Primal steps (pivots and bound flips) after which the cache was
+    /// compared against a from-scratch repricing.
+    pub checks: usize,
+    /// Cache entries that differed from the from-scratch value at all
+    /// (must stay 0 under an exact scalar).
+    pub mismatches: usize,
+    /// Largest `|cached − fresh| / (1 + |fresh|)` seen.
+    pub max_rel_err: f64,
+    /// Full sweeps that (re)seeded the cache.
+    pub reseeds: usize,
+    /// Columns priced by the last iteration of the last pass — the sweep
+    /// that proved optimality.
+    pub final_sweep: usize,
+}
+
+/// Load column `j` of the constraint matrix into the dense workvec `v`.
+pub(crate) fn load_column<S: Scalar>(sf: &StandardForm<S>, j: usize, v: &mut [S]) {
+    v.fill(S::zero());
     let (rows, vals) = sf.column(j);
     for (i, a) in rows.iter().zip(vals) {
         v[*i] = a.clone();
     }
-    v
 }
 
 impl<'a, S: Scalar> Engine<'a, S> {
-    fn cold(sf: &'a StandardForm<S>, opts: &SimplexOptions) -> Engine<'a, S> {
+    fn new(sf: &'a StandardForm<S>, st: SparseState<S>, opts: &SimplexOptions) -> Engine<'a, S> {
         Engine {
             sf,
-            st: SparseState::cold(sf, opts.factor.resolve::<S>()),
+            st,
             clamp_on_refresh: true,
             stats: PricingStats::default(),
             policy: opts.refactor,
+            pivot_row: None,
+            audit: None,
         }
     }
 
@@ -422,71 +473,137 @@ impl<'a, S: Scalar> Engine<'a, S> {
         (best.map(|(j, _)| j), scanned)
     }
 
-    /// Devex reference pricing: largest `z_j²/w_j` among improving
-    /// nonbasic active columns (see [`crate::pricing`]); ties break to
-    /// the smaller index.
-    fn entering_devex(
-        &self,
-        cost: &[S],
-        active: &[bool],
-        y: &[S],
-        devex: &Devex,
-    ) -> (Option<usize>, usize) {
-        let mut best: Option<(usize, f64)> = None;
-        let mut scanned = 0usize;
-        for (j, act) in active.iter().enumerate() {
-            if !act || self.st.in_basis[j] {
-                continue;
-            }
-            scanned += 1;
-            let z = self.reduced_cost(j, cost, y);
-            if !improves(self.st.at_upper[j], &z) {
-                continue;
-            }
-            let score = devex.score(j, z.to_f64());
-            match &best {
-                None => best = Some((j, score)),
-                Some((_, bs)) if score > *bs => best = Some((j, score)),
-                _ => {}
-            }
-        }
-        (best.map(|(j, _)| j), scanned)
+    /// Reduced costs from scratch: one BTRAN for `y = B⁻ᵀc_B`, then
+    /// `z_j = c_j − y·a_j` for every active nonbasic column. Basic and
+    /// inactive entries are an exact zero — the invariant that lets
+    /// [`entering_cached`](Self::entering_cached) scan `z` alone. Also
+    /// returns how many columns were priced.
+    fn fresh_reduced_costs(&self, cost: &[S], active: &[bool]) -> (Vec<S>, usize) {
+        let y = self.prices(cost);
+        let mut priced = 0usize;
+        let z = (0..self.sf.ncols)
+            .map(|j| {
+                if active[j] && !self.st.in_basis[j] {
+                    priced += 1;
+                    self.reduced_cost(j, cost, &y)
+                } else {
+                    S::zero()
+                }
+            })
+            .collect();
+        (z, priced)
     }
 
-    /// Devex weight maintenance for a pivot of `q` onto `row`: computes
-    /// the pivot row `α = ρA` (one BTRAN of `e_row` + a pass over the
-    /// nonbasic nonzeros) and folds it into the reference weights. Must
-    /// run *before* [`Engine::pivot`] appends the new eta. The `α` values
-    /// feed a ranking heuristic only, so they are computed in `f64` for
-    /// every scalar backend.
-    fn devex_update(&mut self, devex: &mut Devex, row: usize, q: usize, d: &[S], active: &[bool]) {
-        let tp = Instant::now();
-        let mut rho = vec![S::zero(); self.sf.m];
-        rho[row] = S::one();
-        self.st.factors.btran(&mut rho);
-        let rho_f: Vec<f64> = rho.iter().map(|r| r.to_f64()).collect();
-        let leave = self.st.basis[row];
-        let sf = self.sf;
-        let st = &self.st;
-        let alphas = (0..sf.ncols).filter_map(|j| {
-            if j == q || j == leave || !active[j] || st.in_basis[j] {
-                return None;
-            }
-            let (rows, vals) = sf.column(j);
-            let mut a = 0.0f64;
-            for (i, v) in rows.iter().zip(vals) {
-                if rho_f[*i] != 0.0 {
-                    a += rho_f[*i] * v.to_f64();
+    /// Seed the reduced-cost cache `z` with one full sweep (see
+    /// [`fresh_reduced_costs`](Self::fresh_reduced_costs)). Returns the
+    /// refactorization count the seed was taken at.
+    pub(crate) fn reseed(&mut self, cost: &[S], active: &[bool], z: &mut Vec<S>) -> usize {
+        let (fresh, priced) = self.fresh_reduced_costs(cost, active);
+        *z = fresh;
+        self.stats.priced_columns += priced;
+        if let Some(a) = self.audit.as_mut() {
+            a.reseeds += 1;
+        }
+        self.st.factors.refactorizations()
+    }
+
+    /// Entering column from the maintained reduced costs `z`: the
+    /// improving column with the largest devex score `z_j²/w_j`, or the
+    /// largest `|z_j|` (Dantzig) without reference weights; ties break to
+    /// the smaller index. Basic and inactive columns carry an exact zero
+    /// in `z` (see [`reseed`](Self::reseed)), which never improves.
+    fn entering_cached(&self, z: &[S], devex: Option<&Devex>) -> Option<usize> {
+        fn best<S: Scalar, T: PartialOrd>(
+            z: &[S],
+            at_upper: &[bool],
+            score: impl Fn(usize, &S) -> T,
+        ) -> Option<usize> {
+            let mut best: Option<(usize, T)> = None;
+            for (j, zj) in z.iter().enumerate() {
+                if !improves(at_upper[j], zj) {
+                    continue;
+                }
+                let sc = score(j, zj);
+                if best.as_ref().is_none_or(|(_, bs)| sc > *bs) {
+                    best = Some((j, sc));
                 }
             }
-            if a == 0.0 {
-                None
-            } else {
-                Some((j, a))
-            }
-        });
-        devex.pivot_update(q, leave, d[row].to_f64(), alphas);
+            best.map(|(j, _)| j)
+        }
+        let at_upper = &self.st.at_upper;
+        match devex {
+            Some(dv) => best(z, at_upper, |j, zj| dv.score(j, zj.to_f64())),
+            None => best(
+                z,
+                at_upper,
+                |j, zj| {
+                    if at_upper[j] {
+                        zj.neg()
+                    } else {
+                        zj.clone()
+                    }
+                },
+            ),
+        }
+    }
+
+    /// Carry the reduced-cost cache (and the devex weights) across the
+    /// pivot of `q` onto `row`: one BTRAN of `e_row` and a scatter of the
+    /// pivot row `α` over its support (see [`PivotRow`]), then
+    /// `z_j ← z_j − θ·α_j` with `θ = z_q/α_q` on exactly the touched
+    /// columns, `z_leave = −θ` (its `α` against its own row is 1) and
+    /// `z_q = 0`. Must run *before* [`Engine::pivot`] — the pivot row is
+    /// the pre-pivot basis's.
+    fn update_reduced_costs(
+        &mut self,
+        row: usize,
+        q: usize,
+        d: &[S],
+        active: &[bool],
+        z: &mut [S],
+        devex: Option<&mut Devex>,
+    ) {
+        let tp = Instant::now();
+        let sf = self.sf;
+        let pr = self.pivot_row.get_or_insert_with(|| PivotRow::new(sf));
+        pr.compute(&self.st.factors, row, active, &self.st.in_basis);
+        let leave = self.st.basis[row];
+        if let Some(dv) = devex {
+            // Weights only rank candidates: plain `f64` on every backend.
+            let alphas = pr.touched().iter().filter(|&&j| j != q);
+            let alphas = alphas.map(|&j| (j, pr.alpha(j).to_f64()));
+            dv.pivot_update(q, leave, d[row].to_f64(), alphas);
+        }
+        let theta = z[q].div(&d[row]);
+        for &j in pr.touched() {
+            z[j] = z[j].sub(&theta.mul(pr.alpha(j)));
+        }
+        if active[leave] {
+            z[leave] = theta.neg();
+        }
+        // The entering column turns basic: exact zero, whatever the
+        // update above left in its slot.
+        z[q] = S::zero();
+        self.stats.priced_columns += pr.touched().len();
         self.stats.pricing_ms += tp.elapsed().as_secs_f64() * 1e3;
+    }
+
+    /// [`CacheAudit`] probe: compare every cache entry against a
+    /// from-scratch repricing of the current basis.
+    fn audit_cache(&mut self, cost: &[S], active: &[bool], z: &[S]) {
+        if self.audit.is_none() {
+            return;
+        }
+        let (fresh, _) = self.fresh_reduced_costs(cost, active);
+        let a = self.audit.as_mut().expect("checked above");
+        for (zj, fj) in z.iter().zip(&fresh) {
+            if zj != fj {
+                a.mismatches += 1;
+            }
+            let err = zj.sub(fj).to_f64().abs() / (1.0 + fj.to_f64().abs());
+            a.max_rel_err = a.max_rel_err.max(err);
+        }
+        a.checks += 1;
     }
 
     /// Replace `basis[row]` by column `q` entering with step `t` in
@@ -635,6 +752,7 @@ impl<'a, S: Scalar> Engine<'a, S> {
             repair_budget - repair_budget / 4
         };
         let mut iters = 0usize;
+        let mut d = vec![S::zero(); self.sf.m];
         loop {
             // Classify the current infeasibilities.
             let mut sigma = vec![S::zero(); self.sf.m];
@@ -669,7 +787,7 @@ impl<'a, S: Scalar> Engine<'a, S> {
             self.stats.pricing_ms += tp.elapsed().as_secs_f64() * 1e3;
             let q = pick?;
             let sigma_pos = !self.st.at_upper[q];
-            let mut d = scatter(self.sf, q);
+            load_column(self.sf, q, &mut d);
             self.st.factors.ftran(&mut d);
             let (leaving, step) = choose_leaving_repair(
                 &d,
@@ -697,6 +815,13 @@ impl<'a, S: Scalar> Engine<'a, S> {
     /// every non-Bland rule degrades to Bland past half the budget, the
     /// anti-cycling stall fallback. The devex reference framework is
     /// per-phase: fresh weights on every call.
+    ///
+    /// Devex and Dantzig select from **maintained reduced costs** (see the
+    /// module header): seeded by one full sweep, carried across pivots by
+    /// [`update_reduced_costs`](Self::update_reduced_costs), reseeded
+    /// after every refactorization — and optimality is only ever declared
+    /// on a fresh sweep. Bland reprices from scratch every iteration and
+    /// never consults the cache.
     fn optimize(
         &mut self,
         cost: &[S],
@@ -711,23 +836,43 @@ impl<'a, S: Scalar> Engine<'a, S> {
             _ => budget.saturating_div(2),
         };
         let mut devex = matches!(rule, PivotRule::Devex).then(|| Devex::new(self.sf.ncols));
+        let mut z: Vec<S> = Vec::new();
+        // Refactorization count `z` was last seeded at (none yet).
+        let mut seeded_at = usize::MAX;
+        let mut d = vec![S::zero(); self.sf.m];
         loop {
             let tp = Instant::now();
-            let y = self.prices(cost);
-            let (entering, scanned) = if matches!(rule, PivotRule::Bland) || iters >= greedy_cap {
-                self.entering_bland(cost, active, &y)
-            } else if let Some(dv) = &devex {
-                self.entering_devex(cost, active, &y, dv)
+            let priced_before = self.stats.priced_columns;
+            let bland = iters >= greedy_cap;
+            let entering = if bland {
+                let y = self.prices(cost);
+                let (pick, scanned) = self.entering_bland(cost, active, &y);
+                self.stats.priced_columns += scanned;
+                pick
             } else {
-                self.entering_dantzig(cost, active, &y)
+                let stale = self.st.factors.refactorizations() != seeded_at;
+                if stale {
+                    seeded_at = self.reseed(cost, active, &mut z);
+                }
+                let mut pick = self.entering_cached(&z, devex.as_ref());
+                if pick.is_none() && !stale {
+                    // Nothing improves on maintained values: that is a
+                    // claim about accumulated arithmetic, not a proof.
+                    // Only a fresh sweep may call the basis optimal.
+                    seeded_at = self.reseed(cost, active, &mut z);
+                    pick = self.entering_cached(&z, devex.as_ref());
+                }
+                pick
             };
-            self.stats.priced_columns += scanned;
             self.stats.pricing_ms += tp.elapsed().as_secs_f64() * 1e3;
             let Some(q) = entering else {
+                if let Some(a) = self.audit.as_mut() {
+                    a.final_sweep = self.stats.priced_columns - priced_before;
+                }
                 return Ok(iters);
             };
             let sigma_pos = !self.st.at_upper[q];
-            let mut d = scatter(self.sf, q);
+            load_column(self.sf, q, &mut d);
             self.st.factors.ftran(&mut d);
             if !S::EXACT
                 && self.policy.residual_interval > 0
@@ -741,7 +886,8 @@ impl<'a, S: Scalar> Engine<'a, S> {
             {
                 // Update-chain drift caught by the residual trigger:
                 // rebuild the factors and re-run the iteration on fresh
-                // numbers (fresh() == 0 afterwards, so no re-trigger).
+                // numbers (fresh() == 0 afterwards, so no re-trigger; the
+                // refactorization also reseeds the reduced costs).
                 self.reinvert();
                 continue;
             }
@@ -751,18 +897,20 @@ impl<'a, S: Scalar> Engine<'a, S> {
                 return Err(SolveError::Unbounded);
             };
             match leaving {
+                // A bound flip changes no basis, hence no reduced cost.
                 Leaving::Flip => {
                     shift_basics(&mut self.st.x, &d, &step, sigma_pos, None);
                     self.st.at_upper[q] = !self.st.at_upper[q];
                 }
                 Leaving::Row { row, to_upper } => {
-                    if let Some(dv) = devex.as_mut() {
-                        // Reference weights want the pivot row of the
-                        // *pre-pivot* basis.
-                        self.devex_update(dv, row, q, &d, active);
+                    if !bland {
+                        self.update_reduced_costs(row, q, &d, active, &mut z, devex.as_mut());
                     }
                     self.pivot(row, q, &d, &step, sigma_pos, to_upper);
                 }
+            }
+            if !bland {
+                self.audit_cache(cost, active, &z);
             }
             iters += 1;
             if iters >= *budget {
@@ -832,13 +980,31 @@ impl<'a, S: Scalar> Engine<'a, S> {
 }
 
 impl SparseRevised {
-    /// The full cold two-phase solve.
-    fn solve_cold<S: Scalar>(
+    /// The cold two-phase solve with the reduced-cost cache under audit:
+    /// after every primal step taken under a cached rule, every cache
+    /// entry is compared against a from-scratch repricing. Test
+    /// instrumentation — the differential tests' window into the loop.
+    #[doc(hidden)]
+    pub fn solve_audited<S: Scalar>(
         &self,
         sf: &StandardForm<S>,
         opts: &SimplexOptions,
+    ) -> Result<(KernelOutput<S>, CacheAudit), SolveError> {
+        let mut audit = CacheAudit::default();
+        let out = self.solve_cold(sf, opts, Some(&mut audit))?;
+        Ok((out, audit))
+    }
+
+    /// The full cold two-phase solve (`audit` is `None` everywhere but
+    /// [`solve_audited`](Self::solve_audited)).
+    fn solve_cold<'e, S: Scalar>(
+        &self,
+        sf: &'e StandardForm<S>,
+        opts: &SimplexOptions,
+        audit: Option<&'e mut CacheAudit>,
     ) -> Result<KernelOutput<S>, SolveError> {
-        let mut eng = Engine::cold(sf, opts);
+        let mut eng = Engine::new(sf, SparseState::cold(sf, opts.factor.resolve::<S>()), opts);
+        eng.audit = audit;
         let mut budget = opts.budget(sf.m, sf.ncols);
         let mut phase1_iters = 0usize;
 
@@ -895,7 +1061,7 @@ impl<S: Scalar> LpKernel<S> for SparseRevised {
         sf: &StandardForm<S>,
         opts: &SimplexOptions,
     ) -> Result<KernelOutput<S>, SolveError> {
-        self.solve_cold(sf, opts)
+        self.solve_cold(sf, opts, None)
     }
 
     /// Warm-capable solve: reuse the hinted basis + statuses when the
@@ -924,7 +1090,7 @@ impl<S: Scalar> LpKernel<S> for SparseRevised {
                     mismatch: Option<crate::warm::ShapeMismatch>|
          -> Result<WarmKernelSolve<S>, SolveError> {
             Ok(WarmKernelSolve {
-                output: self.solve_cold(sf, opts)?,
+                output: self.solve_cold(sf, opts, None)?,
                 outcome,
                 mismatch,
             })
@@ -940,13 +1106,7 @@ impl<S: Scalar> LpKernel<S> for SparseRevised {
         else {
             return cold(WarmOutcome::ColdFallback, None);
         };
-        let mut eng = Engine {
-            sf,
-            st,
-            clamp_on_refresh: true,
-            stats: PricingStats::default(),
-            policy: opts.refactor,
-        };
+        let mut eng = Engine::new(sf, st, opts);
         let mut repair_iters = 0usize;
         let mut outcome = if patched {
             WarmOutcome::Repaired

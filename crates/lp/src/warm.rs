@@ -40,12 +40,12 @@
 //! phase-2 tail from whatever feasible vertex it reached.
 //!
 //! Fewer pivots must also mean less *time*: the `warm-scale` benchmark
-//! gates warm re-solves on **wall-clock**, not just pivot counts —
-//! per-pivot cost on the warm path (dual BTRAN per violated row, devex
-//! bookkeeping) is higher than on a cold Dantzig sweep, so the repair
-//! paths lean on candidate-list partial pricing (see [`crate::pricing`])
-//! to keep each dual pivot's pricing bill proportional to the drift, not
-//! to the column count.
+//! gates warm re-solves on **wall-clock**, not just pivot counts. Both
+//! directions price through the same row-wise pivot-row kernel (see
+//! [`crate::pricing`]), so a pivot's pricing bill is the nonzeros of the
+//! rows its `ρ = B⁻ᵀe_r` touches — small on a cold solve's sparse early
+//! bases, up to a quarter of the matrix on a heavy-drift dual repair at
+//! p = 512, where the warm path currently loses to a cold solve.
 
 use crate::kernel::Kernel;
 use crate::scalar::Scalar;
