@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use ss_core::engine::Formulation;
 use ss_core::multicast::EdgeCoupling;
 use ss_core::{all_to_all, broadcast, dag, master_slave, multicast, reduce, scatter};
-use ss_lp::KernelChoice;
+use ss_lp::Kernel;
 use ss_num::Ratio;
 use ss_platform::{paper, topo};
 
@@ -141,44 +141,44 @@ fn bench_kernels(c: &mut Criterion) {
     let ms = master_slave::MasterSlave::new(root);
     let (ms_prob, _) = ms.build(&g).unwrap();
     group.bench_function("master_slave/dense", |b| {
-        b.iter(|| ms_prob.solve_kernel::<f64>(KernelChoice::Dense).unwrap())
+        b.iter(|| ms_prob.solve_kernel::<f64>(Kernel::Dense).unwrap())
     });
     group.bench_function("master_slave/sparse", |b| {
-        b.iter(|| ms_prob.solve_kernel::<f64>(KernelChoice::Sparse).unwrap())
+        b.iter(|| ms_prob.solve_kernel::<f64>(Kernel::SparseRevised).unwrap())
     });
 
     let a2a = all_to_all::AllToAll::new();
     let (a2a_prob, _) = a2a.build(&g).unwrap();
     group.bench_function("all_to_all/dense", |b| {
-        b.iter(|| a2a_prob.solve_kernel::<f64>(KernelChoice::Dense).unwrap())
+        b.iter(|| a2a_prob.solve_kernel::<f64>(Kernel::Dense).unwrap())
     });
     group.bench_function("all_to_all/sparse", |b| {
-        b.iter(|| a2a_prob.solve_kernel::<f64>(KernelChoice::Sparse).unwrap())
+        b.iter(|| a2a_prob.solve_kernel::<f64>(Kernel::SparseRevised).unwrap())
     });
 
     let dagf = dag::DagCollection { dag: &tg };
     let (dag_prob, _) = dagf.build(&g).unwrap();
     group.bench_function("dag/dense", |b| {
-        b.iter(|| dag_prob.solve_kernel::<f64>(KernelChoice::Dense).unwrap())
+        b.iter(|| dag_prob.solve_kernel::<f64>(Kernel::Dense).unwrap())
     });
     group.bench_function("dag/sparse", |b| {
-        b.iter(|| dag_prob.solve_kernel::<f64>(KernelChoice::Sparse).unwrap())
+        b.iter(|| dag_prob.solve_kernel::<f64>(Kernel::SparseRevised).unwrap())
     });
 
     let div = ss_core::divisible::Divisible::new(root);
     let (div_prob, _) = div.build(&g).unwrap();
     group.bench_function("divisible/dense", |b| {
-        b.iter(|| div_prob.solve_kernel::<f64>(KernelChoice::Dense).unwrap())
+        b.iter(|| div_prob.solve_kernel::<f64>(Kernel::Dense).unwrap())
     });
     group.bench_function("divisible/sparse", |b| {
-        b.iter(|| div_prob.solve_kernel::<f64>(KernelChoice::Sparse).unwrap())
+        b.iter(|| div_prob.solve_kernel::<f64>(Kernel::SparseRevised).unwrap())
     });
 
     // Sanity-anchor the pairing itself: both kernels agree on each
     // instance (the bench must never record a speedup for a wrong answer).
     for prob in [&ms_prob, &a2a_prob, &dag_prob, &div_prob] {
-        let d = prob.solve_kernel::<f64>(KernelChoice::Dense).unwrap();
-        let s = prob.solve_kernel::<f64>(KernelChoice::Sparse).unwrap();
+        let d = prob.solve_kernel::<f64>(Kernel::Dense).unwrap();
+        let s = prob.solve_kernel::<f64>(Kernel::SparseRevised).unwrap();
         assert!((d.objective() - s.objective()).abs() <= 1e-6 * (1.0 + d.objective().abs()));
     }
     group.finish();

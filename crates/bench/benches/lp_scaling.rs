@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ss_core::master_slave::{self, PortModel};
-use ss_lp::KernelChoice;
+use ss_lp::Kernel;
 use ss_platform::topo;
 
 fn bench_lp(c: &mut Criterion) {
@@ -20,10 +20,10 @@ fn bench_lp(c: &mut Criterion) {
             b.iter(|| prob.solve_exact().unwrap())
         });
         group.bench_with_input(BenchmarkId::new("f64_dense", p), &prob, |b, prob| {
-            b.iter(|| prob.solve_kernel::<f64>(KernelChoice::Dense).unwrap())
+            b.iter(|| prob.solve_kernel::<f64>(Kernel::Dense).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("f64_sparse", p), &prob, |b, prob| {
-            b.iter(|| prob.solve_kernel::<f64>(KernelChoice::Sparse).unwrap())
+            b.iter(|| prob.solve_kernel::<f64>(Kernel::SparseRevised).unwrap())
         });
     }
     group.finish();
@@ -36,10 +36,10 @@ fn bench_lp(c: &mut Criterion) {
         let (g, m) = topo::random_connected(&mut rng, p, 0.25, &topo::ParamRange::default());
         let (prob, _) = master_slave::build(&g, m, &PortModel::FullOverlapOnePort);
         group.bench_with_input(BenchmarkId::new("f64_dense", p), &prob, |b, prob| {
-            b.iter(|| prob.solve_kernel::<f64>(KernelChoice::Dense).unwrap())
+            b.iter(|| prob.solve_kernel::<f64>(Kernel::Dense).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("f64_sparse", p), &prob, |b, prob| {
-            b.iter(|| prob.solve_kernel::<f64>(KernelChoice::Sparse).unwrap())
+            b.iter(|| prob.solve_kernel::<f64>(Kernel::SparseRevised).unwrap())
         });
     }
     group.finish();

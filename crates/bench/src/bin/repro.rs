@@ -4,89 +4,22 @@
 //! cargo run --release -p ss-bench --bin repro -- list
 //! cargo run --release -p ss-bench --bin repro -- fig1 fig3
 //! cargo run --release -p ss-bench --bin repro -- all
-//! cargo run --release -p ss-bench --bin repro -- --kernel=dense lp-scale
-//! cargo run --release -p ss-bench --bin repro -- --pricing=dantzig lp-warm
 //! ```
 //!
-//! `--kernel=auto|dense|sparse` pins the LP pivoting engine for every
-//! solve in the run (default `auto`: the sparse revised simplex for both
-//! scalar backends; `dense` pins the cross-check tableau).
-//!
-//! `--pricing=auto|bland|dantzig|devex` pins the entering rule for every
-//! solve (default `auto`: Bland on exact scalars for the termination
-//! guarantee, devex reference pricing on `f64`).
-//!
-//! `--factor=auto|eta|lu` pins the basis-factorization backend of the
-//! sparse kernel for every solve (default `auto`: sparse LU with
-//! Markowitz ordering and Forrest–Tomlin updates; `eta` pins the
-//! product-form eta file kept as the agreement oracle).
+//! There are no solver flags: every experiment states the `SimplexOptions`
+//! it runs under in its own code, and the smokes enumerate their kernel /
+//! pricing / factorization variants themselves.
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let registry = ss_bench::registry();
-
-    args.retain(|a| match a.strip_prefix("--kernel=") {
-        Some(k) => {
-            let choice = match k {
-                "auto" => ss_lp::KernelChoice::Auto,
-                "dense" => ss_lp::KernelChoice::Dense,
-                "sparse" => ss_lp::KernelChoice::Sparse,
-                other => {
-                    eprintln!("unknown kernel `{other}`; use auto|dense|sparse");
-                    std::process::exit(2);
-                }
-            };
-            ss_lp::set_default_kernel(choice);
-            false
-        }
-        None => true,
-    });
-
-    args.retain(|a| match a.strip_prefix("--pricing=") {
-        Some(p) => {
-            let pricing = match p {
-                "auto" => ss_lp::Pricing::Auto,
-                "bland" => ss_lp::Pricing::Bland,
-                "dantzig" => ss_lp::Pricing::Dantzig,
-                "devex" => ss_lp::Pricing::Devex,
-                other => {
-                    eprintln!("unknown pricing rule `{other}`; use auto|bland|dantzig|devex");
-                    std::process::exit(2);
-                }
-            };
-            ss_lp::set_default_pricing(pricing);
-            false
-        }
-        None => true,
-    });
-
-    args.retain(|a| match a.strip_prefix("--factor=") {
-        Some(f) => {
-            let factor = match f {
-                "auto" => ss_lp::FactorChoice::Auto,
-                "eta" => ss_lp::FactorChoice::Eta,
-                "lu" => ss_lp::FactorChoice::Lu,
-                other => {
-                    eprintln!("unknown factorization `{other}`; use auto|eta|lu");
-                    std::process::exit(2);
-                }
-            };
-            ss_lp::set_default_factor(factor);
-            false
-        }
-        None => true,
-    });
 
     if args.is_empty()
         || args
             .iter()
             .any(|a| a == "list" || a == "--help" || a == "-h")
     {
-        println!(
-            "usage: repro [--kernel=auto|dense|sparse] [--pricing=auto|bland|dantzig|devex] \
-             [--factor=auto|eta|lu] <experiment-id>... | all | list\n\n\
-             available experiments:"
-        );
+        println!("usage: repro <experiment-id>... | all | list\n\navailable experiments:");
         for (id, _) in &registry {
             println!("  {id}");
         }

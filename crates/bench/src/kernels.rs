@@ -17,15 +17,17 @@
 use crate::table::{banner, print_table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use ss_core::all_to_all::AllToAll;
+use ss_core::collective::Collective;
 use ss_core::divisible::Divisible;
 use ss_core::engine::Formulation;
-use ss_core::master_slave::MasterSlave;
+use ss_core::master_slave::{MasterSlave, PortModel};
 use ss_core::multicast::EdgeCoupling;
 use ss_core::multicast_trees::TreePackingForm;
-use ss_core::{all_to_all, broadcast, dag, engine, master_slave, multicast, reduce, scatter};
-use ss_lp::{BoundMode, KernelChoice, SimplexOptions};
+use ss_core::{dag, engine};
+use ss_lp::{BoundMode, Kernel, SimplexOptions};
 use ss_num::Ratio;
-use ss_platform::{paper, topo};
+use ss_platform::{paper, topo, NodeId, Platform};
 use std::time::Instant;
 
 /// One formulation's dense-vs-sparse timing on an identical instance.
@@ -58,22 +60,21 @@ fn median_ms(runs: usize, mut f: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Time one closure under each kernel via the process-default switch (the
-/// same mechanism `repro --kernel=...` uses), restoring the caller's
-/// default after — a user-pinned `--kernel=...` must keep holding for the
-/// experiments that run after this pairing.
-fn pair(name: &'static str, mut solve: impl FnMut()) -> KernelPairing {
+/// Time `f`'s `f64` build + solve on `g` under each kernel, each through
+/// its own explicit options.
+fn pair<F: Formulation>(name: &'static str, f: &F, g: &Platform) -> KernelPairing {
     const RUNS: usize = 5;
-    let prior = ss_lp::default_kernel();
-    ss_lp::set_default_kernel(KernelChoice::Dense);
-    let dense_ms = median_ms(RUNS, &mut solve);
-    ss_lp::set_default_kernel(KernelChoice::Sparse);
-    let sparse_ms = median_ms(RUNS, &mut solve);
-    ss_lp::set_default_kernel(prior);
+    let time = |kernel| {
+        let opts = SimplexOptions::with_kernel(kernel);
+        median_ms(RUNS, || {
+            let (lp, _) = f.build(g).expect("formulation builds");
+            engine::solve_problem_with::<f64>(&lp, &opts).expect("f64 solve");
+        })
+    };
     KernelPairing {
         name,
-        dense_ms,
-        sparse_ms,
+        dense_ms: time(Kernel::Dense),
+        sparse_ms: time(Kernel::SparseRevised),
     }
 }
 
@@ -90,37 +91,30 @@ pub fn formulation_pairings() -> Vec<KernelPairing> {
     let mut rng6 = StdRng::seed_from_u64(42);
     let (g6, _) = topo::random_connected(&mut rng6, 6, 0.3, &topo::ParamRange::default());
 
+    use EdgeCoupling::{Max, Sum};
+    let collective = |source, targets: &[NodeId], coupling| Collective {
+        source,
+        targets: targets.to_vec(),
+        coupling,
+        model: PortModel::FullOverlapOnePort,
+    };
+    // Broadcast reaches everyone but the root; reduce is broadcast on the
+    // transposed platform.
+    let everyone: Vec<NodeId> = g.node_ids().filter(|&n| n != root).collect();
+    let reversed = g.reversed();
+    let trees = TreePackingForm::new(src2, &targets2);
+
     vec![
-        pair("ssms", || {
-            master_slave::solve_approx(&g, root).unwrap();
-        }),
-        pair("scatter", || {
-            scatter::solve_approx(&g, root, &targets).unwrap();
-        }),
-        pair("multicast-sum", || {
-            multicast::solve_approx(&fig2, src2, &targets2, EdgeCoupling::Sum).unwrap();
-        }),
-        pair("multicast-max", || {
-            multicast::solve_approx(&fig2, src2, &targets2, EdgeCoupling::Max).unwrap();
-        }),
-        pair("broadcast", || {
-            broadcast::solve_approx(&g, root).unwrap();
-        }),
-        pair("reduce", || {
-            reduce::solve_approx(&g, root).unwrap();
-        }),
-        pair("all-to-all", || {
-            all_to_all::solve_approx(&g6).unwrap();
-        }),
-        pair("dag", || {
-            dag::solve_approx(&g, &tg).unwrap();
-        }),
-        pair("divisible", || {
-            engine::solve_approx(&Divisible::new(root), &g).unwrap();
-        }),
-        pair("multicast-trees", || {
-            engine::solve_approx(&TreePackingForm::new(src2, &targets2), &fig2).unwrap();
-        }),
+        pair("ssms", &MasterSlave::new(root), &g),
+        pair("scatter", &collective(root, &targets, Sum), &g),
+        pair("multicast-sum", &collective(src2, &targets2, Sum), &fig2),
+        pair("multicast-max", &collective(src2, &targets2, Max), &fig2),
+        pair("broadcast", &collective(root, &everyone, Max), &g),
+        pair("reduce", &collective(root, &everyone, Max), &reversed),
+        pair("all-to-all", &AllToAll::new(), &g6),
+        pair("dag", &dag::DagCollection { dag: &tg }, &g),
+        pair("divisible", &Divisible::new(root), &g),
+        pair("multicast-trees", &trees, &fig2),
     ]
 }
 
@@ -157,14 +151,18 @@ pub fn kernel_smoke() {
         let (dense, sparse) = engine::kernel_cross_check(&f, &g, crate::scale::BACKEND_TOLERANCE)
             .expect("f64 kernels agree");
 
-        // Exact: identical rationals, certificate from the engine.
-        let exact = engine::solve(&f, &g).expect("exact dense solve");
-        let sparse_exact = engine::solve_backend_kernel::<Ratio, _>(&f, &g, KernelChoice::Sparse)
-            .expect("exact sparse solve");
+        // Exact: the engine's certified (sparse) optimum and the dense
+        // reference tableau are identical rationals.
+        let exact = engine::solve(&f, &g).expect("exact certified solve");
+        let (lp, _) = f.build(&g).expect("SSMS build");
+        let dense_exact =
+            engine::solve_problem_with::<Ratio>(&lp, &SimplexOptions::with_kernel(Kernel::Dense))
+                .expect("exact dense solve");
+        assert_eq!(dense_exact.solution().kernel(), Kernel::Dense);
         assert_eq!(
             &exact.ntask,
-            sparse_exact.objective(),
-            "p={p}: sparse-exact disagrees with the certified optimum"
+            dense_exact.objective(),
+            "p={p}: the dense reference disagrees with the certified sparse optimum"
         );
         let err = (exact.ntask.to_f64() - sparse.objective_f64()).abs();
         assert!(
@@ -198,7 +196,7 @@ pub fn bounded_smoke() {
         "bounded-smoke",
         "bounded-variable guard — native 0 ≤ x ≤ u vs lowered bound rows, both kernels",
     );
-    let solve_mode = |lp: &ss_lp::Problem, kernel: KernelChoice, mode: BoundMode| {
+    let solve_mode = |lp: &ss_lp::Problem, kernel: Kernel, mode: BoundMode| {
         let opts = SimplexOptions {
             kernel,
             bound_mode: mode,
@@ -225,11 +223,11 @@ pub fn bounded_smoke() {
         let lowered_rows = ss_lp::lower_with::<Ratio>(&lp, BoundMode::LoweredRows).m;
         assert!(native_rows < lowered_rows, "{name}: nothing to fold?");
 
-        let reference = solve_mode(&lp, KernelChoice::Sparse, BoundMode::Native);
+        let reference = solve_mode(&lp, Kernel::SparseRevised, BoundMode::Native);
         for (kernel, mode) in [
-            (KernelChoice::Sparse, BoundMode::LoweredRows),
-            (KernelChoice::Dense, BoundMode::Native),
-            (KernelChoice::Dense, BoundMode::LoweredRows),
+            (Kernel::SparseRevised, BoundMode::LoweredRows),
+            (Kernel::Dense, BoundMode::Native),
+            (Kernel::Dense, BoundMode::LoweredRows),
         ] {
             let s = solve_mode(&lp, kernel, mode);
             assert_eq!(

@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ss_core::engine::{self, Formulation};
 use ss_core::master_slave::MasterSlave;
-use ss_lp::{BoundMode, KernelChoice, SimplexOptions};
+use ss_lp::{BoundMode, Kernel, SimplexOptions};
 use ss_num::BigInt;
 use ss_platform::topo;
 use ss_platform::NodeId;
@@ -90,8 +90,7 @@ fn sweep_point(p: usize) -> SweepPoint {
     }
 
     let t0 = Instant::now();
-    let sparse =
-        engine::solve_problem_kernel::<f64>(&lp, KernelChoice::Sparse).expect("sparse f64 solve");
+    let sparse = engine::solve_problem::<f64>(&lp).expect("sparse f64 solve");
     let sparse_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // The same sparse kernel on the lowered-rows oracle — PR 2's baseline
@@ -99,7 +98,6 @@ fn sweep_point(p: usize) -> SweepPoint {
     // `LOWERED_ORACLE_MAX_NODES`.
     let lowered_ms = (p <= LOWERED_ORACLE_MAX_NODES).then(|| {
         let lowered_opts = SimplexOptions {
-            kernel: KernelChoice::Sparse,
             bound_mode: BoundMode::LoweredRows,
             ..SimplexOptions::default()
         };
@@ -119,7 +117,8 @@ fn sweep_point(p: usize) -> SweepPoint {
     let dense_ms = (p <= DENSE_KERNEL_MAX_NODES).then(|| {
         let t0 = Instant::now();
         let dense =
-            engine::solve_problem_kernel::<f64>(&lp, KernelChoice::Dense).expect("dense f64 solve");
+            engine::solve_problem_with::<f64>(&lp, &SimplexOptions::with_kernel(Kernel::Dense))
+                .expect("dense f64 solve");
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         let err = (dense.objective_f64() - sparse.objective_f64()).abs();
         assert!(
@@ -338,8 +337,8 @@ pub fn coloring_scale() {
                 NodeId((app * p) / APPS)
             };
             let f = MasterSlave::new(master);
-            let (vars, approx) =
-                engine::solve_backend_with_vars::<f64, _>(&f, &g).expect("f64 solve");
+            let (lp, vars) = f.build(&g).expect("SSMS build");
+            let approx = engine::solve_problem::<f64>(&lp).expect("f64 solve");
             if p <= CROSS_CHECK_MAX_NODES {
                 let exact = engine::solve(&f, &g).expect("exact solve");
                 let abs_error = (exact.ntask.to_f64() - approx.objective_f64()).abs();
@@ -383,7 +382,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let (g, m) = topo::random_connected(&mut rng, 6, 0.3, &topo::ParamRange::default());
         let f = MasterSlave::new(m);
-        let (vars, acts) = engine::solve_backend_with_vars::<f64, _>(&f, &g).unwrap();
+        let (lp, vars) = f.build(&g).unwrap();
+        let acts = engine::solve_problem::<f64>(&lp).unwrap();
         assert_eq!(vars.s.len(), g.num_edges());
         for &sv in &vars.s {
             let v = *acts.value(sv);

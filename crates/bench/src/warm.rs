@@ -29,7 +29,7 @@ use ss_core::engine::{self, Formulation};
 use ss_core::master_slave::MasterSlave;
 use ss_core::session::SolveSession;
 use ss_core::WarmOutcome;
-use ss_lp::{Factor, FactorChoice, KernelChoice, Pricing, SimplexOptions};
+use ss_lp::{Factor, Kernel, Pricing, SimplexOptions};
 use ss_num::Ratio;
 use ss_platform::{topo, Platform};
 use ss_sim::dynamic::ParamScale;
@@ -94,6 +94,8 @@ struct PathCounts {
 
 struct WarmSweep {
     p: usize,
+    /// The factorization every solve of the sweep ran on.
+    factor: Factor,
     phases: Vec<PhasePoint>,
     paths: PathCounts,
     mean_warm: f64,
@@ -106,8 +108,10 @@ fn sweep_platform(p: usize) -> WarmSweep {
     let mut rng = StdRng::seed_from_u64(p as u64);
     let (g, m) = topo::random_connected(&mut rng, p, 0.25, &topo::ParamRange::default());
     let f = MasterSlave::new(m);
+    // One set of options for the session and its cold reference alike.
+    let opts = SimplexOptions::default();
     let mut sess: SolveSession<f64, MasterSlave> =
-        SolveSession::with_kernel(MasterSlave::new(m), KernelChoice::Sparse);
+        SolveSession::with_options(MasterSlave::new(m), opts.clone());
 
     let mut drift_rng = StdRng::seed_from_u64(0xd21f7 + p as u64);
     let mut phases = Vec::with_capacity(PHASES);
@@ -133,8 +137,7 @@ fn sweep_platform(p: usize) -> WarmSweep {
         // The cold reference: identical instance, fresh two-phase solve.
         let (lp, _) = f.build(&gp).expect("SSMS build");
         let t0 = Instant::now();
-        let cold =
-            engine::solve_problem_kernel::<f64>(&lp, KernelChoice::Sparse).expect("cold solve");
+        let cold = engine::solve_problem_with::<f64>(&lp, &opts).expect("cold solve");
         let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         let err = (warm.activities.objective_f64() - cold.objective_f64()).abs();
@@ -211,6 +214,7 @@ fn sweep_platform(p: usize) -> WarmSweep {
     );
     WarmSweep {
         p,
+        factor: opts.factor,
         phases,
         paths,
         mean_warm,
@@ -235,10 +239,6 @@ pub fn warm_scale() {
     banner(
         "warm-scale",
         "§5.5 — warm-started re-solve sessions vs cold per-phase solves (drifting SSMS)",
-    );
-    println!(
-        "process-default factorization: {:?} (set with repro --factor=...)",
-        ss_lp::default_factor()
     );
     let sweeps = par_map(vec![96usize, 192, 256, 512], sweep_platform);
 
@@ -316,7 +316,7 @@ pub fn warm_scale() {
 fn write_warm_json(sweeps: &[WarmSweep]) -> std::io::Result<String> {
     let mut s = format!(
         "{{\n  \"factor\": \"{}\",\n  \"warm_scale\": [\n",
-        ss_lp::default_factor().resolve::<f64>()
+        sweeps.first().map(|sw| sw.factor).unwrap_or_default()
     );
     for (i, sw) in sweeps.iter().enumerate() {
         let _ = writeln!(
@@ -516,8 +516,7 @@ pub fn dual_smoke() {
         let mut rng = StdRng::seed_from_u64(44_000 + p as u64);
         let (g, m) = topo::random_connected(&mut rng, p, 0.3, &topo::ParamRange::default());
         let mut drift_rng = StdRng::seed_from_u64(55_000 + p as u64);
-        let mut sess: SolveSession<f64, MasterSlave> =
-            SolveSession::with_kernel(MasterSlave::new(m), KernelChoice::Sparse);
+        let mut sess: SolveSession<f64, MasterSlave> = SolveSession::new(MasterSlave::new(m));
         let mut dual = 0usize;
         let mut fallback = 0usize;
         for t in 0..10 {
@@ -561,8 +560,7 @@ pub fn dual_smoke() {
         let mut rng = StdRng::seed_from_u64(66_000 + p as u64);
         let (g, m) = topo::random_connected(&mut rng, p, 0.35, &topo::ParamRange::default());
         let mut drift_rng = StdRng::seed_from_u64(77_000 + p as u64);
-        let mut sess: SolveSession<Ratio, MasterSlave> =
-            SolveSession::with_kernel(MasterSlave::new(m), KernelChoice::Sparse);
+        let mut sess: SolveSession<Ratio, MasterSlave> = SolveSession::new(MasterSlave::new(m));
         let mut dual = 0usize;
         let mut fallback = 0usize;
         let mut last_gp = g.clone();
@@ -609,9 +607,8 @@ pub fn dual_smoke() {
 }
 
 /// `pricing-smoke`: the CI guard for the pricing subsystem. A drifting
-/// SSMS platform is re-solved through a warm session under the
-/// **process-default** pricing rule — the CI step runs this twice, via
-/// `repro --pricing=devex pricing-smoke` and `--pricing=dantzig` — and
+/// SSMS platform is re-solved through a warm session pinned, through its
+/// `SimplexOptions`, to devex and then to Dantzig, and
 /// every phase must agree with a Bland-forced cold reference. On top of
 /// that, one drifted instance is solved cold under every *explicit* rule
 /// on both scalar backends: all optima must coincide (exactly on `Ratio`,
@@ -627,73 +624,82 @@ pub fn pricing_smoke() {
         "pricing-smoke",
         "pricing-rule agreement guard — devex/dantzig/bland land on one optimum, warm and cold",
     );
-    println!(
-        "process-default pricing: {:?} (set with repro --pricing=...)",
-        ss_lp::default_pricing()
-    );
-
     let p = 24usize;
     let mut rng = StdRng::seed_from_u64(88_000 + p as u64);
     let (g, m) = topo::random_connected(&mut rng, p, 0.3, &topo::ParamRange::default());
     let f = MasterSlave::new(m);
-    let mut drift_rng = StdRng::seed_from_u64(99_000 + p as u64);
 
-    // Drift session under the process default; aggressive drift so the
-    // dual repair (and with it the shared pivot-row kernel from the dual
-    // side) gets exercised, not just the pure-warm path.
-    let mut sess: SolveSession<f64, MasterSlave> =
-        SolveSession::with_kernel(MasterSlave::new(m), KernelChoice::Sparse);
-    let mut rows = Vec::new();
+    // Drift sessions, one per cached rule; aggressive drift so the dual
+    // repair (and with it the shared pivot-row kernel from the dual side)
+    // gets exercised, not just the pure-warm path. Both sessions see the
+    // same drift sequence.
+    // The Bland-forced cold solve is the agreement reference: the rule
+    // every scalar backend can run exactly.
+    let bland = SimplexOptions {
+        pricing: Pricing::Bland,
+        ..SimplexOptions::default()
+    };
     let mut last_gp = g.clone();
-    for t in 0..8 {
-        let scale = if t == 0 {
-            ParamScale::nominal(&g)
-        } else {
-            aggressive_drift(&mut drift_rng, &g)
-        };
-        let gp = scale.apply(&g);
-        let warm = sess.resolve(&gp).expect("drifted re-solve");
-        let (lp, _) = f.build(&gp).expect("SSMS build");
-
-        // The Bland-forced cold solve is the agreement reference: the
-        // rule every scalar backend can run exactly.
-        let bland = SimplexOptions {
-            force_bland: true,
-            ..SimplexOptions::default()
-        };
-        let reference = lp.solve_with::<f64>(&bland).expect("Bland reference");
-        let err = (warm.activities.objective_f64() - reference.objective()).abs();
-        assert!(
-            err <= crate::scale::BACKEND_TOLERANCE * (1.0 + reference.objective().abs()),
-            "phase {t}: session under {:?} pricing drifts off the Bland reference by {err:.3e}",
-            ss_lp::default_pricing()
+    for pricing in [Pricing::Devex, Pricing::Dantzig] {
+        let mut drift_rng = StdRng::seed_from_u64(99_000 + p as u64);
+        let mut sess: SolveSession<f64, MasterSlave> = SolveSession::with_options(
+            MasterSlave::new(m),
+            SimplexOptions {
+                pricing,
+                ..SimplexOptions::default()
+            },
         );
-        assert!(
-            warm.telemetry.priced_columns > 0,
-            "phase {t}: solve priced no columns — telemetry wiring broken"
-        );
+        let mut rows = Vec::new();
+        for t in 0..8 {
+            let scale = if t == 0 {
+                ParamScale::nominal(&g)
+            } else {
+                aggressive_drift(&mut drift_rng, &g)
+            };
+            let gp = scale.apply(&g);
+            let warm = sess.resolve(&gp).expect("drifted re-solve");
+            let (lp, _) = f.build(&gp).expect("SSMS build");
 
-        rows.push(vec![
-            t.to_string(),
-            warm.telemetry.outcome.to_string(),
-            warm.telemetry.iterations.to_string(),
-            warm.telemetry.priced_columns.to_string(),
-            format!("{:.3}", warm.telemetry.pricing_ms),
-            format!("{err:.1e}"),
-        ]);
-        last_gp = gp;
+            let reference = lp.solve_with::<f64>(&bland).expect("Bland reference");
+            let err = (warm.activities.objective_f64() - reference.objective()).abs();
+            assert!(
+                err <= crate::scale::BACKEND_TOLERANCE * (1.0 + reference.objective().abs()),
+                "phase {t}: session under {pricing:?} pricing drifts off the Bland reference \
+                 by {err:.3e}"
+            );
+            assert_eq!(
+                warm.activities.solution().pivot_rule(),
+                pricing.resolve::<f64>(),
+                "phase {t}: session did not run the rule its options pin"
+            );
+            assert!(
+                warm.telemetry.priced_columns > 0,
+                "phase {t}: solve priced no columns — telemetry wiring broken"
+            );
+
+            rows.push(vec![
+                t.to_string(),
+                warm.telemetry.outcome.to_string(),
+                warm.telemetry.iterations.to_string(),
+                warm.telemetry.priced_columns.to_string(),
+                format!("{:.3}", warm.telemetry.pricing_ms),
+                format!("{err:.1e}"),
+            ]);
+            last_gp = gp;
+        }
+        println!("session pricing: {pricing:?}");
+        print_table(
+            &[
+                "phase",
+                "path",
+                "pivots",
+                "priced cols",
+                "pricing ms",
+                "|Δ| vs bland",
+            ],
+            &rows,
+        );
     }
-    print_table(
-        &[
-            "phase",
-            "path",
-            "pivots",
-            "priced cols",
-            "pricing ms",
-            "|Δ| vs bland",
-        ],
-        &rows,
-    );
 
     // Explicit rule matrix on the last drifted instance, cold, both
     // scalar backends on both factorizations. Explicit Dantzig/devex are
@@ -707,12 +713,12 @@ pub fn pricing_smoke() {
         .expect("exact reference");
     let matrix = [Pricing::Bland, Pricing::Dantzig, Pricing::Devex]
         .into_iter()
-        .flat_map(|pr| [FactorChoice::Eta, FactorChoice::Lu].map(|fc| (pr, fc)));
+        .flat_map(|pr| [Factor::EtaFile, Factor::SparseLu].map(|fc| (pr, fc)));
     for (pricing, factor) in matrix {
         let opts = SimplexOptions {
             pricing,
             factor,
-            kernel: KernelChoice::Sparse,
+            kernel: Kernel::SparseRevised,
             ..SimplexOptions::default()
         };
         let fast = lp
@@ -720,7 +726,7 @@ pub fn pricing_smoke() {
             .expect("explicit-rule f64 solve");
         assert_eq!(
             fast.pivot_rule(),
-            pricing.resolve::<f64>(false),
+            pricing.resolve::<f64>(),
             "f64 solve did not record the requested rule"
         );
         let err = (fast.objective() - exact_ref.objective().to_f64()).abs();
@@ -759,7 +765,7 @@ pub fn pricing_smoke() {
     for pricing in [Pricing::Devex, Pricing::Dantzig] {
         let opts = SimplexOptions {
             pricing,
-            kernel: KernelChoice::Sparse,
+            kernel: Kernel::SparseRevised,
             ..SimplexOptions::default()
         };
         let cold = lp.solve_with::<f64>(&opts).expect("cold f64 sparse solve");
@@ -795,9 +801,8 @@ pub fn pricing_smoke() {
 }
 
 /// `factor-smoke`: the CI guard for the basis-factorization subsystem. A
-/// drifting SSMS platform is re-solved through a warm session under the
-/// **process-default** factorization backend — the CI step runs this
-/// twice, via `repro --factor=eta factor-smoke` and `--factor=lu` — and
+/// drifting SSMS platform is re-solved through a warm session pinned,
+/// through its `SimplexOptions`, to the eta file and then to sparse LU, and
 /// every phase must agree with a cold reference. On top of that, one
 /// drifted instance is solved cold under both *explicit* backends on both
 /// scalar backends and both kernels: all optima must coincide (exactly on
@@ -812,68 +817,76 @@ pub fn factor_smoke() {
         "factor-smoke",
         "basis-factorization agreement guard — eta file and sparse LU land on one optimum",
     );
-    println!(
-        "process-default factorization: {:?} (set with repro --factor=...)",
-        ss_lp::default_factor()
-    );
-
     let p = 24usize;
     let mut rng = StdRng::seed_from_u64(111_000 + p as u64);
     let (g, m) = topo::random_connected(&mut rng, p, 0.3, &topo::ParamRange::default());
     let f = MasterSlave::new(m);
-    let mut drift_rng = StdRng::seed_from_u64(121_000 + p as u64);
 
-    // Drift session under the process default; aggressive drift so the
-    // dual repair's FTRAN/BTRAN traffic and the warm refactorization both
-    // run against the selected backend, not just cold factorizations.
-    let mut sess: SolveSession<f64, MasterSlave> =
-        SolveSession::with_kernel(MasterSlave::new(m), KernelChoice::Sparse);
-    let mut rows = Vec::new();
+    // Drift sessions, one per backend; aggressive drift so the dual
+    // repair's FTRAN/BTRAN traffic and the warm refactorization both run
+    // against the pinned backend, not just cold factorizations. Both
+    // sessions see the same drift sequence.
     let mut last_gp = g.clone();
-    for t in 0..8 {
-        let scale = if t == 0 {
-            ParamScale::nominal(&g)
-        } else {
-            aggressive_drift(&mut drift_rng, &g)
-        };
-        let gp = scale.apply(&g);
-        let warm = sess.resolve(&gp).expect("drifted re-solve");
-        let (lp, _) = f.build(&gp).expect("SSMS build");
-        let cold = lp
-            .solve_with::<f64>(&SimplexOptions::default())
-            .expect("cold reference");
-        let err = (warm.activities.objective_f64() - cold.objective()).abs();
-        assert!(
-            err <= crate::scale::BACKEND_TOLERANCE * (1.0 + cold.objective().abs()),
-            "phase {t}: session under {:?} factorization drifts off the cold reference by \
-             {err:.3e}",
-            ss_lp::default_factor()
+    for factor in [Factor::EtaFile, Factor::SparseLu] {
+        let mut drift_rng = StdRng::seed_from_u64(121_000 + p as u64);
+        let mut sess: SolveSession<f64, MasterSlave> = SolveSession::with_options(
+            MasterSlave::new(m),
+            SimplexOptions {
+                factor,
+                ..SimplexOptions::default()
+            },
         );
-        rows.push(vec![
-            t.to_string(),
-            warm.telemetry.outcome.to_string(),
-            warm.telemetry.iterations.to_string(),
-            format!("{:.3}", warm.telemetry.factor_ms),
-            format!("{:.3}", warm.telemetry.update_ms),
-            format!("{:.3}", warm.telemetry.ftran_btran_ms),
-            format!("{:.2}", warm.telemetry.fill_ratio),
-            format!("{err:.1e}"),
-        ]);
-        last_gp = gp;
+        let mut rows = Vec::new();
+        for t in 0..8 {
+            let scale = if t == 0 {
+                ParamScale::nominal(&g)
+            } else {
+                aggressive_drift(&mut drift_rng, &g)
+            };
+            let gp = scale.apply(&g);
+            let warm = sess.resolve(&gp).expect("drifted re-solve");
+            let (lp, _) = f.build(&gp).expect("SSMS build");
+            let cold = lp
+                .solve_with::<f64>(&SimplexOptions::default())
+                .expect("cold reference");
+            let err = (warm.activities.objective_f64() - cold.objective()).abs();
+            assert!(
+                err <= crate::scale::BACKEND_TOLERANCE * (1.0 + cold.objective().abs()),
+                "phase {t}: session under {factor:?} factorization drifts off the cold \
+                 reference by {err:.3e}"
+            );
+            assert_eq!(
+                warm.activities.solution().factor().backend,
+                factor,
+                "phase {t}: session did not run the backend its options pin"
+            );
+            rows.push(vec![
+                t.to_string(),
+                warm.telemetry.outcome.to_string(),
+                warm.telemetry.iterations.to_string(),
+                format!("{:.3}", warm.telemetry.factor_ms),
+                format!("{:.3}", warm.telemetry.update_ms),
+                format!("{:.3}", warm.telemetry.ftran_btran_ms),
+                format!("{:.2}", warm.telemetry.fill_ratio),
+                format!("{err:.1e}"),
+            ]);
+            last_gp = gp;
+        }
+        println!("session factorization: {factor:?}");
+        print_table(
+            &[
+                "phase",
+                "path",
+                "pivots",
+                "factor ms",
+                "update ms",
+                "ftran ms",
+                "fill",
+                "|Δ| vs cold",
+            ],
+            &rows,
+        );
     }
-    print_table(
-        &[
-            "phase",
-            "path",
-            "pivots",
-            "factor ms",
-            "update ms",
-            "ftran ms",
-            "fill",
-            "|Δ| vs cold",
-        ],
-        &rows,
-    );
 
     // Explicit backend matrix on the last drifted instance, cold:
     // 2 factorizations × 2 scalars × 2 kernels, all one optimum.
@@ -881,8 +894,8 @@ pub fn factor_smoke() {
     let exact_ref = lp
         .solve_with::<Ratio>(&SimplexOptions::default())
         .expect("exact reference");
-    for factor in [FactorChoice::Eta, FactorChoice::Lu] {
-        for kernel in [KernelChoice::Sparse, KernelChoice::Dense] {
+    for factor in [Factor::EtaFile, Factor::SparseLu] {
+        for kernel in [Kernel::SparseRevised, Kernel::Dense] {
             let opts = SimplexOptions {
                 factor,
                 kernel,
@@ -907,16 +920,12 @@ pub fn factor_smoke() {
             lp.verify_optimality(&exact).unwrap_or_else(|e| {
                 panic!("{factor:?}/{kernel:?} (Ratio) fails the duality certificate: {e}")
             });
-            if kernel == KernelChoice::Sparse {
+            if kernel == Kernel::SparseRevised {
                 // The sparse kernel must have run the backend it was
                 // asked for — and actually factorized through it.
                 for (scalar, stats) in [("f64", fast.factor()), ("Ratio", exact.factor())] {
                     assert_eq!(
-                        stats.backend,
-                        match factor {
-                            FactorChoice::Eta => Factor::EtaFile,
-                            _ => Factor::SparseLu,
-                        },
+                        stats.backend, factor,
                         "{scalar} solve did not record the requested factorization backend"
                     );
                     assert!(

@@ -32,14 +32,19 @@ use ss_platform::{NodeId, Platform};
 /// (both couplings), broadcast, and reduce (on the transposed platform)
 /// are all instances of this descriptor.
 #[derive(Clone, Debug)]
-pub(crate) struct Collective {
+pub struct Collective {
+    /// The node the messages originate from.
     pub source: NodeId,
+    /// The nodes that must each receive the full throughput.
     pub targets: Vec<NodeId>,
+    /// How per-type flows on one edge couple into its occupied time.
     pub coupling: EdgeCoupling,
+    /// The communication model the port rows are posted under.
     pub model: PortModel,
 }
 
-pub(crate) struct FlowVars {
+/// LP variable handles for [`Collective`].
+pub struct FlowVars {
     /// `flow[k][e]`: rate of type-`k` messages on edge `e`.
     pub flow: Vec<Vec<Var>>,
     /// Edge occupied-time fractions `s_e` (only materialized for Max

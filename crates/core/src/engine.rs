@@ -15,20 +15,22 @@
 //!   anti-cycling rule) and verifies an LP-duality optimality certificate
 //!   before extraction — every exact answer this crate returns is
 //!   machine-proved optimal.
-//! * [`solve_approx`] runs the **fast** backend (`f64` arithmetic, Dantzig
+//! * [`solve_approx`] runs the **fast** backend (`f64` arithmetic, devex
 //!   pricing) and returns the raw [`Activities`] — orders of magnitude
 //!   faster on large platforms, used by the scaling sweeps and benchmarks.
-//! * [`solve_backend`] is the generic entry point both specialize.
+//! * [`solve_backend`] is the generic entry point both specialize, and
+//!   [`solve_problem`] / [`solve_problem_with`] run an already-built LP —
+//!   the latter under explicit [`SimplexOptions`], the only way anything
+//!   about a solve is chosen.
 //! * [`cross_check`] runs both and verifies they agree within a tolerance,
 //!   which is how the `ss-bench` sweeps keep the fast path honest.
 //!
-//! Orthogonally to the scalar backend, every solve picks a **pivoting
+//! Orthogonally to the scalar backend, every solve runs on a **pivoting
 //! kernel** (`ss-lp`'s dense tableau or sparse revised simplex). The
-//! default follows `ss-lp`'s `Auto` choice — the sparse revised simplex
-//! for both backends, exact `Ratio` included — and
-//! [`solve_backend_kernel`] / [`kernel_cross_check`] pin or pair the
-//! kernels explicitly for the sweeps and the CI smoke guard (the dense
-//! tableau lives on as the cross-check reference).
+//! default is the sparse revised simplex for both backends, exact `Ratio`
+//! included; [`kernel_cross_check`] pairs the kernels explicitly for the
+//! sweeps and the CI smoke guard (the dense tableau lives on as the
+//! cross-check reference).
 //!
 //! The module also hosts the LP-construction helpers shared by the
 //! formulations — the port-capacity rows for every §2/§5.1 communication
@@ -38,7 +40,7 @@
 
 use crate::error::CoreError;
 use crate::master_slave::PortModel;
-use ss_lp::{Cmp, KernelChoice, LinExpr, Problem, Scalar, SimplexOptions, Solution, Var};
+use ss_lp::{Cmp, Kernel, LinExpr, Problem, Scalar, SimplexOptions, Solution, Var};
 use ss_num::Ratio;
 use ss_platform::{EdgeRef, Platform};
 
@@ -137,67 +139,35 @@ pub trait Formulation {
     ) -> Result<Self::Solution, CoreError>;
 }
 
-/// Solve `f` on `g` with an arbitrary scalar backend.
+/// Solve `f` on `g` with an arbitrary scalar backend and default options.
 ///
 /// `S = Ratio` uses Bland's rule (guaranteed termination on the heavily
-/// degenerate steady-state LPs); `S = f64` uses Dantzig pricing with an
+/// degenerate steady-state LPs); `S = f64` uses devex pricing with an
 /// epsilon ratio test. The pivoting choice is driven by [`Scalar::EXACT`]
 /// inside `ss-lp` and asserted by that crate's tests.
 pub fn solve_backend<S: Scalar, F: Formulation>(
     f: &F,
     g: &Platform,
 ) -> Result<Activities<S>, CoreError> {
-    solve_backend_with_vars(f, g).map(|(_, acts)| acts)
-}
-
-/// [`solve_backend`], also returning the formulation's variable handles so
-/// callers can read individual activities (e.g. per-edge busy fractions)
-/// without assuming anything about the LP's variable layout.
-pub fn solve_backend_with_vars<S: Scalar, F: Formulation>(
-    f: &F,
-    g: &Platform,
-) -> Result<(F::Vars, Activities<S>), CoreError> {
-    let (p, vars) = f.build(g)?;
-    Ok((vars, solve_problem(&p)?))
-}
-
-/// Run one already-built problem through the kernel of the chosen backend.
-///
-/// The pivoting engine follows the process-default [`KernelChoice`]
-/// (`Auto`: the sparse revised simplex for both backends); use
-/// [`solve_problem_kernel`] to pin it.
-pub fn solve_problem<S: Scalar>(p: &Problem) -> Result<Activities<S>, CoreError> {
-    let solution = p.solve_with::<S>(&SimplexOptions::default())?;
-    Ok(Activities {
-        solution,
-        num_vars: p.num_vars(),
-        num_constraints: p.num_constraints(),
-    })
-}
-
-/// [`solve_problem`] with an explicit pivoting-kernel choice.
-pub fn solve_problem_kernel<S: Scalar>(
-    p: &Problem,
-    kernel: KernelChoice,
-) -> Result<Activities<S>, CoreError> {
-    let solution = p.solve_with::<S>(&SimplexOptions::with_kernel(kernel))?;
-    Ok(Activities {
-        solution,
-        num_vars: p.num_vars(),
-        num_constraints: p.num_constraints(),
-    })
-}
-
-/// [`solve_backend`] with an explicit pivoting-kernel choice — how the
-/// sweeps pair the dense tableau against the sparse revised simplex on
-/// identical formulation instances.
-pub fn solve_backend_kernel<S: Scalar, F: Formulation>(
-    f: &F,
-    g: &Platform,
-    kernel: KernelChoice,
-) -> Result<Activities<S>, CoreError> {
     let (p, _) = f.build(g)?;
-    solve_problem_kernel(&p, kernel)
+    solve_problem(&p)
+}
+
+/// Run one already-built problem through the chosen backend with default
+/// options (the sparse revised simplex); [`solve_problem_with`] takes
+/// explicit ones.
+pub fn solve_problem<S: Scalar>(p: &Problem) -> Result<Activities<S>, CoreError> {
+    solve_problem_with(p, &SimplexOptions::default())
+}
+
+/// [`solve_problem`] under explicit options — how the sweeps pair the
+/// dense tableau against the sparse revised simplex on identical
+/// instances.
+pub fn solve_problem_with<S: Scalar>(
+    p: &Problem,
+    opts: &SimplexOptions,
+) -> Result<Activities<S>, CoreError> {
+    Ok(activities_from(p.solve_with::<S>(opts)?, p))
 }
 
 /// Solve `f` on `g` with the `f64` backend on **both** kernels and require
@@ -210,8 +180,9 @@ pub fn kernel_cross_check<F: Formulation>(
     tol: f64,
 ) -> Result<(Activities<f64>, Activities<f64>), CoreError> {
     let (p, _) = f.build(g)?;
-    let dense = solve_problem_kernel::<f64>(&p, KernelChoice::Dense)?;
-    let sparse = solve_problem_kernel::<f64>(&p, KernelChoice::Sparse)?;
+    let on = |kernel| solve_problem_with::<f64>(&p, &SimplexOptions::with_kernel(kernel));
+    let dense = on(Kernel::Dense)?;
+    let sparse = on(Kernel::SparseRevised)?;
     let abs_error = (dense.objective_f64() - sparse.objective_f64()).abs();
     if abs_error > tol {
         return Err(CoreError::Invalid(format!(
@@ -240,7 +211,7 @@ pub fn solve<F: Formulation>(f: &F, g: &Platform) -> Result<F::Solution, CoreErr
     f.extract(g, &vars, &acts)
 }
 
-/// Solve with the fast `f64` backend (Dantzig pricing). Returns the raw
+/// Solve with the fast `f64` backend (devex pricing). Returns the raw
 /// activities; callers needing an exact, certified answer use [`solve`].
 pub fn solve_approx<F: Formulation>(f: &F, g: &Platform) -> Result<Activities<f64>, CoreError> {
     solve_backend::<f64, F>(f, g)

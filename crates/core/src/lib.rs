@@ -37,7 +37,7 @@
 //!   Every returned number is an exact rational, ready for §4.1 period
 //!   extraction in `ss-schedule`. Each module's `solve()` /
 //!   `solve_with_model()` wrappers take this path.
-//! * [`engine::solve_approx`] — fast `f64` arithmetic with Dantzig
+//! * [`engine::solve_approx`] — fast `f64` arithmetic with devex
 //!   pricing, returning raw [`engine::Activities`]`<f64>`. Each module's
 //!   `solve_approx()` wrapper takes this path; the `ss-bench` scaling
 //!   sweeps run on it, cross-checked against the exact backend via
@@ -67,6 +67,7 @@
 
 pub mod all_to_all;
 pub mod broadcast;
+pub mod collective;
 pub mod dag;
 pub mod divisible;
 pub mod drift;
@@ -79,7 +80,6 @@ pub mod reduce;
 pub mod scatter;
 pub mod session;
 
-mod collective;
 mod error;
 
 pub use drift::ParamScale;

@@ -262,7 +262,7 @@ pub fn solve_with_model(
     engine::solve(&MasterSlave::with_model(master, model.clone()), g)
 }
 
-/// Solve SSMS with the fast `f64` backend (Dantzig pricing; no
+/// Solve SSMS with the fast `f64` backend (devex pricing; no
 /// certificate). The objective approximates `ntask(G)` — used by the
 /// large-platform sweeps, cross-checked against [`solve`] in the benches.
 pub fn solve_approx(g: &Platform, master: NodeId) -> Result<Activities<f64>, CoreError> {

@@ -440,7 +440,7 @@ mod tests {
     /// engine's `solve` verifies the duality certificate internally).
     #[test]
     fn formulation_backends_and_kernels_agree() {
-        use ss_lp::KernelChoice;
+        use ss_lp::{Kernel, SimplexOptions};
         let (g, src, targets) = paper::fig2_multicast();
         let f = TreePackingForm::new(src, &targets);
         let exact = engine::solve(&f, &g).unwrap();
@@ -449,8 +449,10 @@ mod tests {
         assert!((exact.rate.to_f64() - approx.objective_f64()).abs() < 1e-9);
         let (dense, sparse) = engine::kernel_cross_check(&f, &g, 1e-6).unwrap();
         assert!((dense.objective_f64() - sparse.objective_f64()).abs() <= 1e-6);
+        let (lp, _) = f.build(&g).unwrap();
         let dense_exact =
-            engine::solve_backend_kernel::<Ratio, _>(&f, &g, KernelChoice::Dense).unwrap();
+            engine::solve_problem_with::<Ratio>(&lp, &SimplexOptions::with_kernel(Kernel::Dense))
+                .unwrap();
         assert_eq!(dense_exact.objective(), &exact.rate);
     }
 }

@@ -38,8 +38,8 @@ use crate::drift::ParamScale;
 use crate::engine::{activities_from, Activities, Formulation};
 use crate::error::CoreError;
 use ss_lp::{
-    EditSummary, FormLayout, KernelChoice, Scalar, ShapeMismatch, SimplexOptions, StandardForm,
-    WarmOutcome, WarmStart,
+    EditSummary, FormLayout, Scalar, ShapeMismatch, SimplexOptions, StandardForm, WarmOutcome,
+    WarmStart,
 };
 use ss_num::Ratio;
 use ss_platform::Platform;
@@ -214,7 +214,7 @@ pub enum SessionEvent {
 /// regardless of `S`.
 pub struct SolveSession<S: Scalar, F: Formulation> {
     formulation: F,
-    kernel: KernelChoice,
+    opts: SimplexOptions,
     warm: Option<WarmStart>,
     lowered: Option<StandardForm<S>>,
     layout: Option<FormLayout>,
@@ -225,19 +225,20 @@ pub struct SolveSession<S: Scalar, F: Formulation> {
 }
 
 impl<S: Scalar, F: Formulation> SolveSession<S, F> {
-    /// New session with the process-default kernel choice (`Auto`: the
-    /// warm-capable sparse revised simplex).
+    /// New session with default options (the warm-capable sparse revised
+    /// simplex).
     pub fn new(formulation: F) -> SolveSession<S, F> {
-        Self::with_kernel(formulation, ss_lp::default_kernel())
+        Self::with_options(formulation, SimplexOptions::default())
     }
 
-    /// New session pinned to an explicit kernel. Note the dense tableau
-    /// has no warm path: a dense session re-solves cold every time
-    /// (recorded as [`WarmOutcome::ColdFallback`]).
-    pub fn with_kernel(formulation: F, kernel: KernelChoice) -> SolveSession<S, F> {
+    /// New session whose every re-solve and certification runs under
+    /// `opts`. Note the dense tableau has no warm path: a dense session
+    /// re-solves cold every time (recorded as
+    /// [`WarmOutcome::ColdFallback`]).
+    pub fn with_options(formulation: F, opts: SimplexOptions) -> SolveSession<S, F> {
         SolveSession {
             formulation,
-            kernel,
+            opts,
             warm: None,
             lowered: None,
             layout: None,
@@ -309,7 +310,6 @@ impl<S: Scalar, F: Formulation> SolveSession<S, F> {
         let tb = Instant::now();
         let (p, vars) = self.formulation.build(g)?;
         let build_ms = tb.elapsed().as_secs_f64() * 1e3;
-        let opts = SimplexOptions::with_kernel(self.kernel);
         // Lower into the cached form when the symbolic pattern still
         // matches (numeric refresh, allocation-free); fall back to a full
         // symbolic lowering on the first solve or after a shape change.
@@ -320,7 +320,7 @@ impl<S: Scalar, F: Formulation> SolveSession<S, F> {
         };
         let mut edit: Option<EditSummary> = None;
         if !reused {
-            let new_sf = ss_lp::lower_with::<S>(&p, opts.bound_mode);
+            let new_sf = ss_lp::lower_with::<S>(&p, self.opts.bound_mode);
             let new_layout = FormLayout::capture(&p, &new_sf);
             // Shape changed under a live basis: diff the old and new
             // lowerings by name and migrate the snapshot onto the new
@@ -347,7 +347,7 @@ impl<S: Scalar, F: Formulation> SolveSession<S, F> {
         let lower_ms = tl.elapsed().as_secs_f64() * 1e3;
         let sf = self.lowered.as_ref().expect("lowered form just installed");
         let t0 = Instant::now();
-        let run = ss_lp::solve_warm_on::<S>(&p, sf, &opts, self.warm.as_ref())?;
+        let run = ss_lp::solve_warm_on::<S>(&p, sf, &self.opts, self.warm.as_ref())?;
         let telemetry = SolveTelemetry {
             outcome: run.outcome,
             iterations: run.solution.iterations(),
@@ -428,8 +428,7 @@ impl<S: Scalar, F: Formulation> SolveSession<S, F> {
     /// agree when the fast path solved to optimality).
     pub fn certify(&mut self, g: &Platform) -> Result<Activities<Ratio>, CoreError> {
         let (p, _) = self.formulation.build(g)?;
-        let opts = SimplexOptions::with_kernel(self.kernel);
-        let run = p.solve_warm_with::<Ratio>(&opts, self.warm.as_ref())?;
+        let run = p.solve_warm_with::<Ratio>(&self.opts, self.warm.as_ref())?;
         p.verify_optimality(&run.solution).map_err(|e| {
             CoreError::Invalid(format!(
                 "{}: session certification failed: {e}",
@@ -453,22 +452,6 @@ impl<F: Formulation> SolveSession<Ratio, F> {
         s: &SessionSolve<Ratio, F>,
     ) -> Result<F::Solution, CoreError> {
         self.formulation.extract(g, &s.vars, &s.activities)
-    }
-
-    /// [`SolveSession::resolve`], then [`SolveSession::extract`].
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `apply(SessionEvent::…)` or `resolve` and then `extract` — the pair \
-                exposes the full SessionSolve (activities and telemetry) instead of \
-                discarding the activities"
-    )]
-    pub fn resolve_typed(
-        &mut self,
-        g: &Platform,
-    ) -> Result<(F::Solution, SolveTelemetry), CoreError> {
-        let s = self.resolve(g)?;
-        let typed = self.extract(g, &s)?;
-        Ok((typed, s.telemetry))
     }
 }
 
@@ -660,10 +643,23 @@ mod tests {
         assert_eq!(typed.ntask, reference.ntask);
         assert_eq!(s.telemetry.outcome, WarmOutcome::Cold);
         typed.check(&g, &sess.formulation().model).unwrap();
-        // The deprecated shim still routes through the same pipeline.
-        #[allow(deprecated)]
-        let (typed2, tel) = sess.resolve_typed(&g).unwrap();
-        assert_eq!(typed2.ntask, reference.ntask);
-        assert!(tel.outcome.used_warm_basis());
+    }
+
+    #[test]
+    fn a_session_keeps_its_options_across_re_plans() {
+        use ss_lp::{Factor, PivotRule, Pricing};
+        let (g, m) = paper::fig1();
+        let opts = SimplexOptions {
+            pricing: Pricing::Dantzig,
+            factor: Factor::EtaFile,
+            ..SimplexOptions::default()
+        };
+        let mut sess: SolveSession<f64, _> = SolveSession::with_options(MasterSlave::new(m), opts);
+        sess.resolve(&g).unwrap();
+        let second = sess.resolve(&g).unwrap();
+        assert!(second.telemetry.outcome.used_warm_basis());
+        let sol = second.activities.solution();
+        assert_eq!(sol.pivot_rule(), PivotRule::Dantzig);
+        assert_eq!(sol.factor().backend, Factor::EtaFile);
     }
 }

@@ -15,7 +15,7 @@ use ss_core::engine::{self, Formulation};
 use ss_core::master_slave::MasterSlave;
 use ss_core::multicast::EdgeCoupling;
 use ss_core::{all_to_all, broadcast, dag, multicast, reduce, scatter};
-use ss_lp::{FactorChoice, KernelChoice, Pricing, SimplexOptions, SparseRevised};
+use ss_lp::{Factor, Kernel, Pricing, SimplexOptions, SparseRevised};
 use ss_num::Ratio;
 use ss_platform::{topo, NodeId, Platform};
 
@@ -26,6 +26,12 @@ const TOL: f64 = 1e-6;
 fn random_platform(seed: u64, p: usize, extra: f64) -> (Platform, NodeId) {
     let mut rng = StdRng::seed_from_u64(seed);
     topo::random_connected(&mut rng, p, extra, &topo::ParamRange::default())
+}
+
+/// The exact activities of `f` on `g`, pinned to `kernel`.
+fn exact_on<F: Formulation>(f: &F, g: &Platform, kernel: Kernel) -> engine::Activities<Ratio> {
+    let (lp, _) = f.build(g).unwrap();
+    engine::solve_problem_with(&lp, &SimplexOptions::with_kernel(kernel)).unwrap()
 }
 
 fn assert_close(name: &str, exact: &Ratio, approx: f64) -> Result<(), TestCaseError> {
@@ -87,8 +93,8 @@ proptest! {
     fn kernels_identical_on_ratio_master_slave(seed in 0u64..10_000, p in 3usize..7) {
         let (g, m) = random_platform(seed, p, 0.3);
         let f = MasterSlave::new(m);
-        let dense = engine::solve_backend_kernel::<Ratio, _>(&f, &g, ss_lp::KernelChoice::Dense).unwrap();
-        let sparse = engine::solve_backend_kernel::<Ratio, _>(&f, &g, ss_lp::KernelChoice::Sparse).unwrap();
+        let dense = exact_on(&f, &g, Kernel::Dense);
+        let sparse = exact_on(&f, &g, Kernel::SparseRevised);
         prop_assert_eq!(dense.objective(), sparse.objective());
     }
 
@@ -98,8 +104,8 @@ proptest! {
     fn kernels_identical_on_ratio_all_to_all(seed in 0u64..10_000, p in 3usize..6) {
         let (g, _) = random_platform(seed, p, 0.3);
         let f = all_to_all::AllToAll::new();
-        let dense = engine::solve_backend_kernel::<Ratio, _>(&f, &g, ss_lp::KernelChoice::Dense).unwrap();
-        let sparse = engine::solve_backend_kernel::<Ratio, _>(&f, &g, ss_lp::KernelChoice::Sparse).unwrap();
+        let dense = exact_on(&f, &g, Kernel::Dense);
+        let sparse = exact_on(&f, &g, Kernel::SparseRevised);
         prop_assert_eq!(dense.objective(), sparse.objective());
     }
 
@@ -168,12 +174,12 @@ proptest! {
         let (lp, _) = MasterSlave::new(m).build(&g).unwrap();
         let exact_sf = ss_lp::lower::<Ratio>(&lp);
         let fast_sf = ss_lp::lower::<f64>(&lp);
-        for factor in [FactorChoice::Eta, FactorChoice::Lu] {
+        for factor in [Factor::EtaFile, Factor::SparseLu] {
             for pricing in [Pricing::Devex, Pricing::Dantzig] {
                 let opts = SimplexOptions {
                     pricing,
                     factor,
-                    kernel: KernelChoice::Sparse,
+                    kernel: Kernel::SparseRevised,
                     ..SimplexOptions::default()
                 };
                 let (out, audit) = SparseRevised.solve_audited(&exact_sf, &opts).unwrap();

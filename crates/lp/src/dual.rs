@@ -469,7 +469,7 @@ impl<S: Scalar> Engine<'_, S> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{lower, Cmp, KernelChoice, Problem, Sense, SimplexOptions, WarmOutcome, WarmStart};
+    use crate::{lower, Cmp, Problem, Sense, SimplexOptions, WarmOutcome, WarmStart};
     use ss_num::Ratio;
 
     /// maximize x + y  s.t.  x + y ≤ 4,  0 ≤ x ≤ 3,  0 ≤ y ≤ 3.
@@ -504,7 +504,7 @@ mod tests {
             sf.basis0.clone(),
             vec![true, true, false],
         );
-        let opts = SimplexOptions::with_kernel(KernelChoice::Sparse);
+        let opts = SimplexOptions::default();
         let run = p.solve_warm_with::<Ratio>(&opts, Some(&hint)).unwrap();
         assert_eq!(run.outcome, WarmOutcome::DualRepaired);
         assert_eq!(run.solution.objective(), &Ratio::from_int(4));
@@ -542,7 +542,7 @@ mod tests {
             sf.basis0.clone(),
             vec![true, false, false, false],
         );
-        let opts = SimplexOptions::with_kernel(KernelChoice::Sparse);
+        let opts = SimplexOptions::default();
         let run = p.solve_warm_with::<Ratio>(&opts, Some(&hint)).unwrap();
         assert_eq!(run.outcome, WarmOutcome::DualRepaired);
         assert_eq!(run.solution.objective(), &Ratio::from_int(2));
@@ -573,7 +573,7 @@ mod tests {
             sf.basis0.clone(),
             vec![false; sf.ncols],
         );
-        let opts = SimplexOptions::with_kernel(KernelChoice::Sparse);
+        let opts = SimplexOptions::default();
         let err = p.solve_warm_with::<Ratio>(&opts, Some(&hint)).unwrap_err();
         assert_eq!(err, crate::SolveError::Infeasible);
     }

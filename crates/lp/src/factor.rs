@@ -29,27 +29,32 @@
 //! Both backends refactorize under one [`RefactorPolicy`] (update-count
 //! cap, fill-growth ratio, stability triggers) surfaced on
 //! [`SimplexOptions`](crate::SimplexOptions) — replacing the old
-//! hard-coded 64-pivot reinversion interval. The backend choice is
-//! [`FactorChoice`] on the options (process-wide default:
-//! [`set_default_factor`], `repro --factor=eta|lu`); solves report their
-//! factorization work as [`FactorStats`] next to
-//! [`PricingStats`](crate::PricingStats).
+//! hard-coded 64-pivot reinversion interval. The backend is the
+//! [`Factor`] on the options; solves report their factorization work as
+//! [`FactorStats`] next to [`PricingStats`](crate::PricingStats).
 
 use crate::scalar::Scalar;
 use crate::standard::StandardForm;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::Instant;
 
-/// Which basis-factorization backend a solve ran with (the tag recorded on
-/// [`FactorStats`]; selection happens via [`FactorChoice`]).
+/// A basis-factorization backend of the sparse kernel: what
+/// [`SimplexOptions::factor`](crate::SimplexOptions) selects and what
+/// [`FactorStats`] records a solve ran with.
+///
+/// Sparse LU is the default for both scalar backends: for `f64` the
+/// O(factor nnz) FTRAN/BTRAN is strictly the better asymptotic, and for
+/// exact `Ratio` the measured warm re-solve sweeps also favor LU — fewer
+/// arithmetic operations per solve dominates the bookkeeping overhead
+/// (the A/B lives in `factor-smoke` and the `warm-scale` bench).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Factor {
     /// Product-form inverse (eta file): O(pivots) FTRAN/BTRAN growth.
-    #[default]
+    /// Kept as the agreement oracle.
     EtaFile,
     /// Sparse LU with Markowitz ordering and Forrest–Tomlin updates:
     /// O(factor nnz) FTRAN/BTRAN regardless of update count.
+    #[default]
     SparseLu,
 }
 
@@ -59,64 +64,6 @@ impl std::fmt::Display for Factor {
             Factor::EtaFile => "eta",
             Factor::SparseLu => "lu",
         })
-    }
-}
-
-/// Basis-factorization backend selection for a solve.
-///
-/// `Auto` resolves to sparse LU for both scalar backends: for `f64` the
-/// O(factor nnz) FTRAN/BTRAN is strictly the better asymptotic, and for
-/// exact `Ratio` the measured warm re-solve sweeps also favor LU — fewer
-/// arithmetic operations per solve dominates the bookkeeping overhead
-/// (the A/B lives in `factor-smoke` and the `warm-scale` bench). `Eta`
-/// pins the historical product-form inverse, kept as the agreement
-/// oracle.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FactorChoice {
-    /// Sparse LU for both scalar backends (measured winner for each).
-    #[default]
-    Auto,
-    /// Force the product-form eta file.
-    Eta,
-    /// Force the sparse LU factorization.
-    Lu,
-}
-
-impl FactorChoice {
-    /// Resolve to the concrete backend for scalar `S`.
-    pub fn resolve<S: Scalar>(self) -> Factor {
-        match self {
-            FactorChoice::Auto => Factor::SparseLu,
-            FactorChoice::Eta => Factor::EtaFile,
-            FactorChoice::Lu => Factor::SparseLu,
-        }
-    }
-}
-
-// Process-wide default consumed by `SimplexOptions::default()`, mirroring
-// the kernel and pricing defaults: harness binaries (`repro --factor=...`)
-// steer every solve without threading an option through each experiment
-// signature. 0 = Auto, 1 = Eta, 2 = Lu.
-static DEFAULT_FACTOR: AtomicU8 = AtomicU8::new(0);
-
-/// Set the process-wide default [`FactorChoice`] used by
-/// [`SimplexOptions::default`](crate::SimplexOptions::default). Explicit
-/// `SimplexOptions { factor, .. }` values always win over this.
-pub fn set_default_factor(factor: FactorChoice) {
-    let v = match factor {
-        FactorChoice::Auto => 0,
-        FactorChoice::Eta => 1,
-        FactorChoice::Lu => 2,
-    };
-    DEFAULT_FACTOR.store(v, Ordering::Relaxed);
-}
-
-/// The current process-wide default [`FactorChoice`].
-pub fn default_factor() -> FactorChoice {
-    match DEFAULT_FACTOR.load(Ordering::Relaxed) {
-        1 => FactorChoice::Eta,
-        2 => FactorChoice::Lu,
-        _ => FactorChoice::Auto,
     }
 }
 
@@ -1436,22 +1383,6 @@ mod tests {
     }
 
     #[test]
-    fn resolution_and_process_default_round_trip() {
-        assert_eq!(FactorChoice::Auto.resolve::<Ratio>(), Factor::SparseLu);
-        assert_eq!(FactorChoice::Auto.resolve::<f64>(), Factor::SparseLu);
-        assert_eq!(FactorChoice::Eta.resolve::<f64>(), Factor::EtaFile);
-        assert_eq!(FactorChoice::Lu.resolve::<Ratio>(), Factor::SparseLu);
-        let before = default_factor();
-        set_default_factor(FactorChoice::Eta);
-        assert_eq!(default_factor(), FactorChoice::Eta);
-        set_default_factor(FactorChoice::Lu);
-        assert_eq!(default_factor(), FactorChoice::Lu);
-        set_default_factor(before);
-        assert_eq!(Factor::EtaFile.to_string(), "eta");
-        assert_eq!(Factor::SparseLu.to_string(), "lu");
-    }
-
-    #[test]
     fn policy_defaults_and_stats_absorb() {
         let p = RefactorPolicy::default();
         assert_eq!(p.max_updates, 64);
@@ -1482,6 +1413,8 @@ mod tests {
     fn wrapper_times_and_reports_backend() {
         let sf = small_form();
         let pol = RefactorPolicy::default();
+        assert_eq!(Factor::EtaFile.to_string(), "eta");
+        assert_eq!(Factor::SparseLu.to_string(), "lu");
         for kind in [Factor::EtaFile, Factor::SparseLu] {
             let mut f: Factorization<Ratio> = Factorization::identity(kind, sf.m);
             assert_eq!(f.tag(), kind);

@@ -5,13 +5,12 @@
 //! optimal basis: the crate ships the original [`DenseTableau`] (full
 //! two-phase tableau, O(rows·cols) per pivot, trivially auditable) and the
 //! [`SparseRevised`](crate::sparse::SparseRevised) revised simplex (CSC
-//! columns, product-form basis updates, pricing over nonzeros only —
-//! built for the >90%-zero steady-state LPs at scale). Both run on either
-//! [`Scalar`] backend; [`KernelChoice::Auto`] now picks the sparse kernel
-//! for *every* scalar — the exact `Ratio` path included, after the sparse
-//! kernel earned its mileage through the kernel-agreement suites — with
-//! the dense tableau demoted to a cross-check reference (`--kernel=dense`
-//! still pins it).
+//! columns, a factorized basis, pricing over nonzeros only — built for
+//! the >90%-zero steady-state LPs at scale). Both run on either
+//! [`Scalar`] backend. The sparse kernel is the default for *every*
+//! scalar, the exact `Ratio` path included; the dense tableau is the
+//! cross-check reference, selected like everything else through
+//! [`SimplexOptions::kernel`].
 
 use crate::scalar::Scalar;
 use crate::simplex::SimplexOptions;
@@ -19,88 +18,39 @@ use crate::solution::{Solution, SolveError};
 use crate::standard::{KernelOutput, StandardForm};
 use crate::warm::{WarmKernelSolve, WarmOutcome, WarmRun, WarmStart};
 use crate::Problem;
-use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Which pivoting engine a solve ran on (recorded on the
-/// [`Solution`], like [`PivotRule`](crate::PivotRule), so kernel-selection
-/// guarantees are testable).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A pivoting engine: what [`SimplexOptions::kernel`] selects and what a
+/// [`Solution`] records it ran on (like [`PivotRule`](crate::PivotRule), so
+/// kernel-selection guarantees are testable).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Kernel {
-    /// Dense two-phase tableau.
+    /// Dense two-phase tableau: the cross-check reference.
     Dense,
-    /// Sparse revised simplex with eta-file basis updates.
+    /// Sparse revised simplex over a factorized basis (see
+    /// [`Factor`](crate::Factor)) — the default for both scalar backends.
+    #[default]
     SparseRevised,
 }
 
-/// Kernel selection for a solve.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum KernelChoice {
-    /// The sparse revised simplex for every scalar backend — exact `Ratio`
-    /// solves included (promoted after the kernel-agreement suites gave
-    /// sparse-exact enough mileage; the dense tableau remains the
-    /// cross-check reference).
-    #[default]
-    Auto,
-    /// Force the dense tableau.
-    Dense,
-    /// Force the sparse revised simplex.
-    Sparse,
-}
-
-impl KernelChoice {
-    /// Resolve to a concrete kernel for scalar type `S`.
-    pub fn resolve<S: Scalar>(self) -> Kernel {
-        match self {
-            KernelChoice::Dense => Kernel::Dense,
-            KernelChoice::Auto | KernelChoice::Sparse => Kernel::SparseRevised,
-        }
-    }
-}
-
-// Process-wide default consumed by `SimplexOptions::default()`, so harness
-// binaries (`repro --kernel=...`) can steer every solve without threading
-// an option through each experiment signature. 0 = Auto, 1 = Dense,
-// 2 = Sparse.
-static DEFAULT_KERNEL: AtomicU8 = AtomicU8::new(0);
-
-/// Set the process-wide default [`KernelChoice`] used by
-/// [`SimplexOptions::default`]. Explicit `SimplexOptions { kernel, .. }`
-/// values always win over this.
-pub fn set_default_kernel(choice: KernelChoice) {
-    let v = match choice {
-        KernelChoice::Auto => 0,
-        KernelChoice::Dense => 1,
-        KernelChoice::Sparse => 2,
-    };
-    DEFAULT_KERNEL.store(v, Ordering::Relaxed);
-}
-
-/// The current process-wide default [`KernelChoice`].
-pub fn default_kernel() -> KernelChoice {
-    match DEFAULT_KERNEL.load(Ordering::Relaxed) {
-        1 => KernelChoice::Dense,
-        2 => KernelChoice::Sparse,
-        _ => KernelChoice::Auto,
-    }
+/// The default [`Kernel`]: `Kernel::default()`, as a function. Exists only
+/// because `benchmark/src/workloads/drift_replan.rs:69` calls it and
+/// `benchmark/` is frozen; a later `benchmark` PR removes the call and this
+/// with it.
+pub fn default_kernel() -> Kernel {
+    Kernel::default()
 }
 
 /// A pivoting engine: drives a lowered [`StandardForm`] to optimality.
 ///
 /// Implementations must honor the crate's pricing contract (see
 /// [`crate::pricing`]): the entering rule is
-/// `opts.pricing.resolve::<S>(opts.force_bland)` — Bland for exact
-/// scalars under `Pricing::Auto` (anti-cycling, guaranteed termination),
+/// `opts.pricing.resolve::<S>()` — Bland for exact scalars under
+/// `Pricing::Auto` (anti-cycling, guaranteed termination),
 /// devex reference pricing for `f64`, and a Bland stall-fallback past
 /// half the pivot budget for every non-Bland rule — reported via
 /// [`KernelOutput::pivot_rule`], with pricing work counted in
 /// [`KernelOutput::pricing`].
 pub trait LpKernel<S: Scalar> {
-    /// Short diagnostic name (`"dense-tableau"`, `"sparse-revised"`).
-    fn name(&self) -> &'static str;
-
-    /// The kernel family recorded on solutions produced by this engine.
-    fn tag(&self) -> Kernel;
-
     /// Solve the lowered system to optimality.
     fn solve(
         &self,
@@ -141,119 +91,58 @@ pub trait LpKernel<S: Scalar> {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DenseTableau;
 
-/// Solve `problem` through an explicit kernel implementation.
-///
-/// This is the extension point behind [`Problem::solve_with`]: lower once,
-/// run the engine, and assemble the certified solution shape (values,
-/// exact objective recomputation, row and bound duals).
-pub fn solve_with_kernel<S: Scalar>(
+/// The one place a kernel is picked and run: every solve in the crate —
+/// cold or warm, freshly lowered or refreshed in place — comes through
+/// here. `sf` must be a lowering under `opts.bound_mode`.
+fn run<S: Scalar>(
+    sf: &StandardForm<S>,
+    opts: &SimplexOptions,
+    warm: Option<&WarmStart>,
+) -> Result<WarmKernelSolve<S>, SolveError> {
+    debug_assert_eq!(
+        sf.bound_mode, opts.bound_mode,
+        "form/options bound-mode mismatch"
+    );
+    match opts.kernel {
+        Kernel::Dense => DenseTableau.solve_warm(sf, opts, warm),
+        Kernel::SparseRevised => crate::sparse::SparseRevised.solve_warm(sf, opts, warm),
+    }
+}
+
+/// Cold solve: lower, run, assemble. No warm-start snapshot is captured —
+/// nothing would consume it.
+pub(crate) fn solve<S: Scalar>(
     problem: &Problem,
-    kernel: &dyn LpKernel<S>,
     opts: &SimplexOptions,
 ) -> Result<Solution<S>, SolveError> {
     let sf = crate::standard::lower_with::<S>(problem, opts.bound_mode);
-    let out = kernel.solve(&sf, opts)?;
-    Ok(crate::standard::assemble(problem, &sf, out, kernel.tag()))
+    let out = run(&sf, opts, None)?.output;
+    Ok(crate::standard::assemble(problem, &sf, out, opts.kernel))
 }
 
-/// Warm-capable counterpart of [`solve_with_kernel`]: lower once, run the
-/// kernel's [`LpKernel::solve_warm`], and return the assembled solution
-/// together with the outcome telemetry and the snapshot seeding the next
-/// re-solve.
-pub fn solve_warm_with_kernel<S: Scalar>(
-    problem: &Problem,
-    kernel: &dyn LpKernel<S>,
-    opts: &SimplexOptions,
-    warm: Option<&WarmStart>,
-) -> Result<WarmRun<S>, SolveError> {
-    let sf = crate::standard::lower_with::<S>(problem, opts.bound_mode);
-    let ws = kernel.solve_warm(&sf, opts, warm)?;
-    // The snapshot seeds the *next* solve; bill its capture separately so
-    // warm-vs-cold timing comparisons stay honest.
-    let t0 = std::time::Instant::now();
-    let next = WarmStart::from_output(&sf, &ws.output);
-    let snapshot_ms = t0.elapsed().as_secs_f64() * 1e3;
-    Ok(WarmRun {
-        solution: crate::standard::assemble(problem, &sf, ws.output, kernel.tag()),
-        outcome: ws.outcome,
-        warm: next,
-        snapshot_ms,
-        mismatch: ws.mismatch,
-    })
-}
-
-/// Warm-capable solve over a **pre-lowered** form: the batched-service
-/// fast path. `sf` must be a lowering of `problem` under `opts.bound_mode`
-/// (either fresh from [`crate::lower_with`] or numerically refreshed in
-/// place by [`crate::refresh`]); the solve itself, snapshot capture and
-/// solution assembly are identical to [`solve_warm_with_kernel`], minus
-/// the symbolic lowering this entry point exists to amortize.
+/// Warm-capable solve over a **pre-lowered** form: the primitive under
+/// [`Problem::solve_warm_with`] and the batched-service fast path. `sf`
+/// must be a lowering of `problem` under `opts.bound_mode` (either fresh
+/// from [`crate::lower_with`] or numerically refreshed in place by
+/// [`crate::refresh`]). Returns the assembled solution together with the
+/// outcome telemetry and the snapshot seeding the next re-solve.
 pub fn solve_warm_on<S: Scalar>(
     problem: &Problem,
     sf: &StandardForm<S>,
     opts: &SimplexOptions,
     warm: Option<&WarmStart>,
 ) -> Result<WarmRun<S>, SolveError> {
-    debug_assert_eq!(
-        sf.bound_mode, opts.bound_mode,
-        "form/options bound-mode mismatch"
-    );
-    let kernel: &dyn LpKernel<S> = match opts.kernel.resolve::<S>() {
-        Kernel::Dense => &DenseTableau,
-        Kernel::SparseRevised => &crate::sparse::SparseRevised,
-    };
-    let ws = kernel.solve_warm(sf, opts, warm)?;
+    let ws = run(sf, opts, warm)?;
+    // The snapshot seeds the *next* solve; bill its capture separately so
+    // warm-vs-cold timing comparisons stay honest.
     let t0 = std::time::Instant::now();
     let next = WarmStart::from_output(sf, &ws.output);
     let snapshot_ms = t0.elapsed().as_secs_f64() * 1e3;
     Ok(WarmRun {
-        solution: crate::standard::assemble(problem, sf, ws.output, kernel.tag()),
+        solution: crate::standard::assemble(problem, sf, ws.output, opts.kernel),
         outcome: ws.outcome,
         warm: next,
         snapshot_ms,
         mismatch: ws.mismatch,
     })
-}
-
-/// Dispatch a solve according to `opts.kernel`.
-pub(crate) fn solve<S: Scalar>(
-    problem: &Problem,
-    opts: &SimplexOptions,
-) -> Result<Solution<S>, SolveError> {
-    match opts.kernel.resolve::<S>() {
-        Kernel::Dense => solve_with_kernel(problem, &DenseTableau, opts),
-        Kernel::SparseRevised => solve_with_kernel(problem, &crate::sparse::SparseRevised, opts),
-    }
-}
-
-/// Dispatch a warm-capable solve according to `opts.kernel`.
-pub(crate) fn solve_warm<S: Scalar>(
-    problem: &Problem,
-    opts: &SimplexOptions,
-    warm: Option<&WarmStart>,
-) -> Result<WarmRun<S>, SolveError> {
-    match opts.kernel.resolve::<S>() {
-        Kernel::Dense => solve_warm_with_kernel(problem, &DenseTableau, opts, warm),
-        Kernel::SparseRevised => {
-            solve_warm_with_kernel(problem, &crate::sparse::SparseRevised, opts, warm)
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ss_num::Ratio;
-
-    #[test]
-    fn auto_resolution_is_sparse_for_both_scalars() {
-        assert_eq!(KernelChoice::Auto.resolve::<Ratio>(), Kernel::SparseRevised);
-        assert_eq!(KernelChoice::Auto.resolve::<f64>(), Kernel::SparseRevised);
-        assert_eq!(KernelChoice::Dense.resolve::<f64>(), Kernel::Dense);
-        assert_eq!(KernelChoice::Dense.resolve::<Ratio>(), Kernel::Dense);
-        assert_eq!(
-            KernelChoice::Sparse.resolve::<Ratio>(),
-            Kernel::SparseRevised
-        );
-    }
 }

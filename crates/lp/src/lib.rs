@@ -11,19 +11,20 @@
 //! * `f64` — fast floating-point solving with devex reference pricing
 //!   (see [`pricing`]) and an epsilon ratio test, used for large scaling
 //!   sweeps where exactness is not required. `SimplexOptions { pricing,
-//!   .. }` or [`set_default_pricing`] pin Dantzig/Bland/devex explicitly.
+//!   .. }` pins Dantzig/Bland/devex explicitly.
 //!
 //! …and over the **pivoting kernel** ([`LpKernel`]):
 //!
-//! * [`SparseRevised`] — sparse revised simplex (CSC columns, product-form
-//!   basis updates, pricing over nonzeros only); the default for **both**
-//!   scalar backends, built for the >90%-zero steady-state LPs at
-//!   platform scale.
+//! * [`SparseRevised`] — sparse revised simplex (CSC columns, a sparse-LU
+//!   basis with Forrest–Tomlin updates, pricing over nonzeros only); the
+//!   default for **both** scalar backends, built for the >90%-zero
+//!   steady-state LPs at platform scale.
 //! * [`DenseTableau`] — the full two-phase tableau, O(rows·cols) per pivot,
 //!   trivially auditable; the cross-check reference.
 //!
-//! [`KernelChoice::Auto`] resolves to the sparse kernel;
-//! `SimplexOptions { kernel, .. }` or [`set_default_kernel`] override.
+//! Every choice — kernel, pricing, factorization, bound handling — is a
+//! field of [`SimplexOptions`], a plain value: there is no process-wide
+//! solver state.
 //!
 //! Variable upper bounds `0 ≤ x ≤ u` are handled **natively** in both
 //! kernels ([`BoundMode::Native`]): a nonbasic variable tracks whether it
@@ -67,18 +68,15 @@ pub mod warm;
 
 pub use edit::{EditPlan, EditSummary, FormLayout, NewColumn, NewRow};
 pub use factor::{
-    default_factor, set_default_factor, BasisFactorization, EtaFile, Factor, FactorChoice,
-    FactorStats, RefactorMode, RefactorPolicy, Refactorized, SparseLu,
+    BasisFactorization, EtaFile, Factor, FactorStats, RefactorMode, RefactorPolicy, Refactorized,
+    SparseLu,
 };
-pub use kernel::{
-    default_kernel, set_default_kernel, solve_warm_on, solve_warm_with_kernel, solve_with_kernel,
-    DenseTableau, Kernel, KernelChoice, LpKernel,
-};
-pub use pricing::{default_pricing, set_default_pricing, Pricing, PricingStats};
+pub use kernel::{default_kernel, solve_warm_on, DenseTableau, Kernel, LpKernel};
+pub use pricing::{Pricing, PricingStats};
 pub use problem::{Cmp, LinExpr, Problem, Sense, Var};
 pub use scalar::Scalar;
 pub use simplex::{OptionsError, SimplexOptions, SimplexOptionsBuilder};
-pub use solution::{PivotRule, Solution, SolveError, Status};
+pub use solution::{PivotRule, Solution, SolveError};
 pub use sparse::{CacheAudit, SparseRevised, SparseState};
 pub use standard::{lower, lower_with, refresh, BoundMode, KernelOutput, StandardForm};
 pub use warm::{ShapeMismatch, WarmKernelSolve, WarmOutcome, WarmRun, WarmStart};

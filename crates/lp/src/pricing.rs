@@ -33,10 +33,8 @@
 //!
 //! The engine-facing choice is the [`Pricing`] enum on
 //! [`SimplexOptions`](crate::SimplexOptions), resolved per scalar by
-//! [`Pricing::resolve`]; the process-wide default
-//! ([`set_default_pricing`], `repro --pricing=...`) mirrors the kernel
-//! default. Every kernel reports its pricing work — columns priced and
-//! wall-clock spent pricing — as a [`PricingStats`] on the
+//! [`Pricing::resolve`]. Every kernel reports its pricing work — columns
+//! priced and wall-clock spent pricing — as a [`PricingStats`] on the
 //! [`KernelOutput`](crate::KernelOutput) and
 //! [`Solution`](crate::Solution).
 
@@ -44,7 +42,6 @@ use crate::factor::Factorization;
 use crate::scalar::Scalar;
 use crate::solution::PivotRule;
 use crate::standard::StandardForm;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Entering-variable pricing strategy for a solve.
 ///
@@ -69,12 +66,7 @@ pub enum Pricing {
 
 impl Pricing {
     /// Resolve to the concrete entering rule for scalar `S`.
-    /// `force_bland` (the [`SimplexOptions`](crate::SimplexOptions) flag)
-    /// wins over everything.
-    pub fn resolve<S: Scalar>(self, force_bland: bool) -> PivotRule {
-        if force_bland {
-            return PivotRule::Bland;
-        }
+    pub fn resolve<S: Scalar>(self) -> PivotRule {
         match self {
             Pricing::Auto => {
                 if S::EXACT {
@@ -87,35 +79,6 @@ impl Pricing {
             Pricing::Dantzig => PivotRule::Dantzig,
             Pricing::Devex => PivotRule::Devex,
         }
-    }
-}
-
-// Process-wide default consumed by `SimplexOptions::default()`, mirroring
-// the kernel default: harness binaries (`repro --pricing=...`) steer every
-// solve without threading an option through each experiment signature.
-// 0 = Auto, 1 = Bland, 2 = Dantzig, 3 = Devex.
-static DEFAULT_PRICING: AtomicU8 = AtomicU8::new(0);
-
-/// Set the process-wide default [`Pricing`] used by
-/// [`SimplexOptions::default`](crate::SimplexOptions::default). Explicit
-/// `SimplexOptions { pricing, .. }` values always win over this.
-pub fn set_default_pricing(pricing: Pricing) {
-    let v = match pricing {
-        Pricing::Auto => 0,
-        Pricing::Bland => 1,
-        Pricing::Dantzig => 2,
-        Pricing::Devex => 3,
-    };
-    DEFAULT_PRICING.store(v, Ordering::Relaxed);
-}
-
-/// The current process-wide default [`Pricing`].
-pub fn default_pricing() -> Pricing {
-    match DEFAULT_PRICING.load(Ordering::Relaxed) {
-        1 => Pricing::Bland,
-        2 => Pricing::Dantzig,
-        3 => Pricing::Devex,
-        _ => Pricing::Auto,
     }
 }
 
@@ -365,22 +328,12 @@ mod tests {
     #[test]
     fn resolution_matrix() {
         // Auto keeps the historical guarantees per scalar.
-        assert_eq!(Pricing::Auto.resolve::<Ratio>(false), PivotRule::Bland);
-        assert_eq!(Pricing::Auto.resolve::<f64>(false), PivotRule::Devex);
+        assert_eq!(Pricing::Auto.resolve::<Ratio>(), PivotRule::Bland);
+        assert_eq!(Pricing::Auto.resolve::<f64>(), PivotRule::Devex);
         // Explicit rules pin either scalar.
-        assert_eq!(Pricing::Devex.resolve::<Ratio>(false), PivotRule::Devex);
-        assert_eq!(Pricing::Dantzig.resolve::<f64>(false), PivotRule::Dantzig);
-        assert_eq!(Pricing::Bland.resolve::<f64>(false), PivotRule::Bland);
-        // force_bland wins over everything.
-        assert_eq!(Pricing::Devex.resolve::<f64>(true), PivotRule::Bland);
-    }
-
-    #[test]
-    fn process_default_round_trips() {
-        let before = default_pricing();
-        set_default_pricing(Pricing::Dantzig);
-        assert_eq!(default_pricing(), Pricing::Dantzig);
-        set_default_pricing(before);
+        assert_eq!(Pricing::Devex.resolve::<Ratio>(), PivotRule::Devex);
+        assert_eq!(Pricing::Dantzig.resolve::<f64>(), PivotRule::Dantzig);
+        assert_eq!(Pricing::Bland.resolve::<f64>(), PivotRule::Bland);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Problem-builder API: variables, linear expressions, constraints.
 
-use crate::kernel::{self, KernelChoice};
+use crate::kernel::{self, Kernel};
 use crate::simplex::SimplexOptions;
 use crate::solution::{Solution, SolveError};
 use ss_num::Ratio;
@@ -281,26 +281,26 @@ impl Problem {
         &self.upper_bounds
     }
 
-    /// Solve with exact rational arithmetic (Bland's rule; guaranteed
-    /// termination, exact optimum). Kernel per the process default
-    /// ([`KernelChoice::Auto`]: sparse revised simplex).
+    /// Solve with exact rational arithmetic and default options (Bland's
+    /// rule on the sparse revised simplex; guaranteed termination, exact
+    /// optimum).
     pub fn solve_exact(&self) -> Result<Solution<Ratio>, SolveError> {
-        kernel::solve::<Ratio>(self, &SimplexOptions::default())
+        self.solve_with(&SimplexOptions::default())
     }
 
-    /// Solve with `f64` arithmetic (fast, approximate). Kernel per the
-    /// process default ([`KernelChoice::Auto`]: sparse revised simplex).
+    /// Solve with `f64` arithmetic and default options (fast,
+    /// approximate; devex pricing on the sparse revised simplex).
     pub fn solve_f64(&self) -> Result<Solution<f64>, SolveError> {
-        kernel::solve::<f64>(self, &SimplexOptions::default())
+        self.solve_with(&SimplexOptions::default())
     }
 
-    /// Solve with explicit options (iteration limits, pivoting rule,
-    /// kernel choice).
+    /// Solve with explicit options (iteration limit, pricing, kernel,
+    /// bound handling, factorization).
     pub fn solve_with<S: crate::Scalar>(
         &self,
         opts: &SimplexOptions,
     ) -> Result<Solution<S>, SolveError> {
-        kernel::solve::<S>(self, opts)
+        kernel::solve(self, opts)
     }
 
     /// Solve with an optional warm-start hint from a previous solve of a
@@ -316,15 +316,16 @@ impl Problem {
         opts: &SimplexOptions,
         warm: Option<&crate::WarmStart>,
     ) -> Result<crate::WarmRun<S>, SolveError> {
-        kernel::solve_warm::<S>(self, opts, warm)
+        let sf = crate::standard::lower_with::<S>(self, opts.bound_mode);
+        kernel::solve_warm_on(self, &sf, opts, warm)
     }
 
-    /// Solve with an explicit kernel choice and default options otherwise.
+    /// Solve with an explicit kernel and default options otherwise.
     pub fn solve_kernel<S: crate::Scalar>(
         &self,
-        choice: KernelChoice,
+        kernel: Kernel,
     ) -> Result<Solution<S>, SolveError> {
-        kernel::solve::<S>(self, &SimplexOptions::with_kernel(choice))
+        self.solve_with(&SimplexOptions::with_kernel(kernel))
     }
 
     /// Evaluate the objective at a candidate point (for cross-checks).

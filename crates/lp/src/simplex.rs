@@ -14,87 +14,45 @@
 //! [`SparseRevised`](crate::sparse::SparseRevised) kernel.
 
 use crate::bounded::{choose_leaving, entering_value, improves, shift_basics, Leaving};
-use crate::factor::{FactorChoice, FactorStats, RefactorPolicy};
-use crate::kernel::{DenseTableau, Kernel, KernelChoice, LpKernel};
+use crate::factor::{Factor, FactorStats, RefactorPolicy};
+use crate::kernel::{DenseTableau, Kernel, LpKernel};
 use crate::pricing::{Devex, Pricing, PricingStats};
 use crate::scalar::Scalar;
 use crate::solution::{PivotRule, SolveError};
 use crate::standard::{BoundMode, KernelOutput, StandardForm};
 use std::time::Instant;
 
-/// Tuning knobs for the simplex kernels.
-#[derive(Clone, Debug)]
+/// Tuning knobs for the simplex kernels — a plain value, and the only way
+/// to choose anything about a solve.
+#[derive(Clone, Debug, Default)]
 pub struct SimplexOptions {
     /// Hard cap on total pivots across both phases (0 = automatic:
     /// `200 * (rows + cols) + 10_000`).
     pub max_iterations: usize,
-    /// Force Bland's rule even for inexact scalars.
-    pub force_bland: bool,
     /// Entering-variable pricing strategy (see [`Pricing`]); `Auto`
     /// resolves to devex for `f64`, Bland for exact scalars.
     pub pricing: Pricing,
-    /// Which pivoting engine runs the solve.
-    pub kernel: KernelChoice,
+    /// Which pivoting engine runs the solve (sparse revised simplex by
+    /// default; the dense tableau as the cross-check reference).
+    pub kernel: Kernel,
     /// How variable upper bounds reach the kernel (native metadata by
     /// default; lowered rows as the agreement oracle).
     pub bound_mode: BoundMode,
     /// Which basis-factorization backend the sparse kernel maintains
-    /// (see [`FactorChoice`]); `Auto` resolves to sparse LU, with the
-    /// eta file as the agreement oracle. Ignored by the dense tableau.
-    pub factor: FactorChoice,
+    /// (sparse LU by default; the eta file as the agreement oracle).
+    /// Ignored by the dense tableau.
+    pub factor: Factor,
     /// When the sparse kernel refactorizes its basis (update cap,
     /// fill-growth ratio, stability triggers; see [`RefactorPolicy`]) —
     /// shared by both factorization backends.
     pub refactor: RefactorPolicy,
 }
 
-impl Default for SimplexOptions {
-    /// Defaults honor the process-wide kernel, pricing and factorization
-    /// choices ([`crate::set_default_kernel`],
-    /// [`crate::set_default_pricing`], [`crate::set_default_factor`]),
-    /// which themselves default to `Auto`.
-    fn default() -> Self {
-        SimplexOptions {
-            max_iterations: 0,
-            force_bland: false,
-            pricing: crate::pricing::default_pricing(),
-            kernel: crate::kernel::default_kernel(),
-            bound_mode: BoundMode::default(),
-            factor: crate::factor::default_factor(),
-            refactor: RefactorPolicy::default(),
-        }
-    }
-}
-
 impl SimplexOptions {
-    /// Default options with an explicit kernel choice.
-    pub fn with_kernel(kernel: KernelChoice) -> SimplexOptions {
+    /// Default options with an explicit kernel.
+    pub fn with_kernel(kernel: Kernel) -> SimplexOptions {
         SimplexOptions {
             kernel,
-            ..SimplexOptions::default()
-        }
-    }
-
-    /// Default options with an explicit bound handling.
-    pub fn with_bound_mode(bound_mode: BoundMode) -> SimplexOptions {
-        SimplexOptions {
-            bound_mode,
-            ..SimplexOptions::default()
-        }
-    }
-
-    /// Default options with an explicit pricing strategy.
-    pub fn with_pricing(pricing: Pricing) -> SimplexOptions {
-        SimplexOptions {
-            pricing,
-            ..SimplexOptions::default()
-        }
-    }
-
-    /// Default options with an explicit basis-factorization backend.
-    pub fn with_factor(factor: FactorChoice) -> SimplexOptions {
-        SimplexOptions {
-            factor,
             ..SimplexOptions::default()
         }
     }
@@ -146,12 +104,6 @@ impl SimplexOptionsBuilder {
         self
     }
 
-    /// Force Bland's rule even for inexact scalars.
-    pub fn force_bland(mut self, b: bool) -> Self {
-        self.opts.force_bland = b;
-        self
-    }
-
     /// Entering-variable pricing strategy.
     pub fn pricing(mut self, pricing: Pricing) -> Self {
         self.opts.pricing = pricing;
@@ -159,7 +111,7 @@ impl SimplexOptionsBuilder {
     }
 
     /// Which pivoting engine runs the solve.
-    pub fn kernel(mut self, kernel: KernelChoice) -> Self {
+    pub fn kernel(mut self, kernel: Kernel) -> Self {
         self.opts.kernel = kernel;
         self
     }
@@ -171,7 +123,7 @@ impl SimplexOptionsBuilder {
     }
 
     /// Basis-factorization backend for the sparse kernel.
-    pub fn factor(mut self, factor: FactorChoice) -> Self {
+    pub fn factor(mut self, factor: Factor) -> Self {
         self.opts.factor = factor;
         self
     }
@@ -428,14 +380,6 @@ fn optimize<S: Scalar>(
 }
 
 impl<S: Scalar> LpKernel<S> for DenseTableau {
-    fn name(&self) -> &'static str {
-        "dense-tableau"
-    }
-
-    fn tag(&self) -> Kernel {
-        Kernel::Dense
-    }
-
     fn solve(
         &self,
         sf: &StandardForm<S>,
@@ -465,7 +409,7 @@ impl<S: Scalar> LpKernel<S> for DenseTableau {
         let mut budget = opts.budget(m, ncols);
         let mut total_iters = 0usize;
         let mut phase1_iters = 0usize;
-        let rule = opts.pricing.resolve::<S>(opts.force_bland);
+        let rule = opts.pricing.resolve::<S>();
         let mut stats = PricingStats::default();
 
         // Phase 1: drive artificials to zero (maximize -sum of artificials).

@@ -30,9 +30,6 @@ impl fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-/// Legacy alias kept for API clarity in match statements.
-pub type Status = SolveError;
-
 /// Which entering-variable rule the kernel ran with.
 ///
 /// Selection is driven by [`Pricing`](crate::Pricing) (resolved per

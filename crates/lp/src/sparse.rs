@@ -10,7 +10,7 @@
 //! trait (see [`crate::factor`]): sparse LU with threshold-Markowitz
 //! pivoting and Forrest–Tomlin updates by default, the historical
 //! product-form eta file as the selectable agreement oracle
-//! (`SimplexOptions { factor, .. }`, `repro --factor=eta|lu`).
+//! (`SimplexOptions { factor, .. }`).
 //!
 //! * **FTRAN** (`d = B⁻¹ a_q`) solves against the factors — the entering
 //!   column for the ratio test.
@@ -87,7 +87,7 @@ use crate::bounded::{
     choose_leaving, choose_leaving_repair, entering_value, improves, shift_basics, Leaving,
 };
 use crate::factor::{Factor, Factorization, RefactorMode, RefactorPolicy};
-use crate::kernel::{Kernel, LpKernel};
+use crate::kernel::LpKernel;
 use crate::pricing::{Devex, PivotRow, PricingStats};
 use crate::scalar::Scalar;
 use crate::simplex::SimplexOptions;
@@ -829,7 +829,7 @@ impl<'a, S: Scalar> Engine<'a, S> {
         opts: &SimplexOptions,
         budget: &mut usize,
     ) -> Result<usize, SolveError> {
-        let rule = opts.pricing.resolve::<S>(opts.force_bland);
+        let rule = opts.pricing.resolve::<S>();
         let mut iters = 0usize;
         let greedy_cap = match rule {
             PivotRule::Bland => 0,
@@ -970,7 +970,7 @@ impl<'a, S: Scalar> Engine<'a, S> {
             bound_mults,
             iterations: total_iters,
             phase1_iterations: phase1_iters,
-            pivot_rule: opts.pricing.resolve::<S>(opts.force_bland),
+            pivot_rule: opts.pricing.resolve::<S>(),
             pricing: self.stats,
             factor: self.st.factors.stats(),
             basis: self.st.basis.clone(),
@@ -1003,7 +1003,7 @@ impl SparseRevised {
         opts: &SimplexOptions,
         audit: Option<&'e mut CacheAudit>,
     ) -> Result<KernelOutput<S>, SolveError> {
-        let mut eng = Engine::new(sf, SparseState::cold(sf, opts.factor.resolve::<S>()), opts);
+        let mut eng = Engine::new(sf, SparseState::cold(sf, opts.factor), opts);
         eng.audit = audit;
         let mut budget = opts.budget(sf.m, sf.ncols);
         let mut phase1_iters = 0usize;
@@ -1048,14 +1048,6 @@ impl SparseRevised {
 }
 
 impl<S: Scalar> LpKernel<S> for SparseRevised {
-    fn name(&self) -> &'static str {
-        "sparse-revised"
-    }
-
-    fn tag(&self) -> Kernel {
-        Kernel::SparseRevised
-    }
-
     fn solve(
         &self,
         sf: &StandardForm<S>,
@@ -1101,9 +1093,7 @@ impl<S: Scalar> LpKernel<S> for SparseRevised {
         if let Some(mm) = w.shape_mismatch(sf) {
             return cold(WarmOutcome::ColdFallback, Some(mm));
         }
-        let Some((st, patched)) =
-            SparseState::from_warm(sf, w, opts.factor.resolve::<S>(), &opts.refactor)
-        else {
+        let Some((st, patched)) = SparseState::from_warm(sf, w, opts.factor, &opts.refactor) else {
             return cold(WarmOutcome::ColdFallback, None);
         };
         let mut eng = Engine::new(sf, st, opts);

@@ -6,7 +6,7 @@
 //! entering-from-upper pivots).
 
 use proptest::prelude::*;
-use ss_lp::{BoundMode, Cmp, KernelChoice, Problem, Sense, SimplexOptions, Var};
+use ss_lp::{BoundMode, Cmp, Kernel, Problem, Sense, SimplexOptions, Var};
 use ss_num::Ratio;
 
 fn r(n: i64, d: i64) -> Ratio {
@@ -17,7 +17,7 @@ fn ri(n: i64) -> Ratio {
     Ratio::from_int(n)
 }
 
-fn opts(kernel: KernelChoice, bound_mode: BoundMode) -> SimplexOptions {
+fn opts(kernel: Kernel, bound_mode: BoundMode) -> SimplexOptions {
     SimplexOptions {
         kernel,
         bound_mode,
@@ -30,7 +30,7 @@ fn opts(kernel: KernelChoice, bound_mode: BoundMode) -> SimplexOptions {
 /// carry a verifying duality certificate.
 fn assert_bound_modes_agree_exact(p: &Problem) -> Ratio {
     let mut reference: Option<Ratio> = None;
-    for kernel in [KernelChoice::Sparse, KernelChoice::Dense] {
+    for kernel in [Kernel::SparseRevised, Kernel::Dense] {
         for mode in [BoundMode::Native, BoundMode::LoweredRows] {
             let s = p
                 .solve_with::<Ratio>(&opts(kernel, mode))
@@ -56,7 +56,7 @@ fn assert_bound_modes_agree_exact(p: &Problem) -> Ratio {
 
 /// And the f64 counterpart within an absolute tolerance.
 fn assert_bound_modes_agree_f64(p: &Problem, want: f64) {
-    for kernel in [KernelChoice::Sparse, KernelChoice::Dense] {
+    for kernel in [Kernel::SparseRevised, Kernel::Dense] {
         for mode in [BoundMode::Native, BoundMode::LoweredRows] {
             let s = p.solve_with::<f64>(&opts(kernel, mode)).unwrap();
             assert!(
@@ -106,7 +106,7 @@ fn box_only_lp_solved_by_bound_flips() {
     // With no rows at all, the native form has an empty basis and the
     // solve is flips only.
     let s = p
-        .solve_with::<Ratio>(&opts(KernelChoice::Sparse, BoundMode::Native))
+        .solve_with::<Ratio>(&opts(Kernel::SparseRevised, BoundMode::Native))
         .unwrap();
     assert_eq!(s.value(x), &r(1, 2));
     assert_eq!(s.value(y), &r(1, 3));
@@ -130,7 +130,7 @@ fn zero_upper_bounds_pin_variables() {
     let want = assert_bound_modes_agree_exact(&p);
     assert_eq!(want, ri(3));
     let s = p
-        .solve_with::<Ratio>(&opts(KernelChoice::Sparse, BoundMode::Native))
+        .solve_with::<Ratio>(&opts(Kernel::SparseRevised, BoundMode::Native))
         .unwrap();
     assert_eq!(s.value(x), &ri(0));
     assert_eq!(s.value(y), &ri(3));
@@ -149,7 +149,7 @@ fn minimize_with_active_bounds_certifies() {
     let want = assert_bound_modes_agree_exact(&p);
     assert_eq!(want, ri(-3)); // x = 2, y = 1
     let s = p
-        .solve_with::<Ratio>(&opts(KernelChoice::Dense, BoundMode::Native))
+        .solve_with::<Ratio>(&opts(Kernel::Dense, BoundMode::Native))
         .unwrap();
     assert_eq!(s.value(x), &ri(2));
     assert!(!s.bound_dual(x).unwrap().is_positive());
@@ -213,7 +213,7 @@ fn infeasible_and_unbounded_detected_native() {
     p.set_objective_coeff(x, ri(1));
     p.add_constraint("lo", [(x, ri(1))], Cmp::Ge, ri(5));
     p.add_constraint("hi", [(x, ri(1))], Cmp::Le, ri(2));
-    for kernel in [KernelChoice::Sparse, KernelChoice::Dense] {
+    for kernel in [Kernel::SparseRevised, Kernel::Dense] {
         assert_eq!(
             p.solve_with::<Ratio>(&opts(kernel, BoundMode::Native))
                 .unwrap_err(),
@@ -227,7 +227,7 @@ fn infeasible_and_unbounded_detected_native() {
     q.set_objective_coeff(x, ri(1));
     q.set_objective_coeff(y, ri(1));
     q.add_constraint("c", [(x, ri(1)), (y, ri(-1))], Cmp::Le, ri(1));
-    for kernel in [KernelChoice::Sparse, KernelChoice::Dense] {
+    for kernel in [Kernel::SparseRevised, Kernel::Dense] {
         assert_eq!(
             q.solve_with::<Ratio>(&opts(kernel, BoundMode::Native))
                 .unwrap_err(),
@@ -297,7 +297,7 @@ proptest! {
     ) {
         let p = random_boxed_lp(nv, nc, &coeffs, &rhss, &objs, &ubs);
         let exact = p
-            .solve_with::<Ratio>(&opts(KernelChoice::Sparse, BoundMode::Native))
+            .solve_with::<Ratio>(&opts(Kernel::SparseRevised, BoundMode::Native))
             .unwrap();
         assert_bound_modes_agree_f64(&p, exact.objective().to_f64());
     }

@@ -10,12 +10,12 @@
 
 use proptest::prelude::*;
 use ss_lp::{
-    lower, Cmp, KernelChoice, Problem, Sense, SimplexOptions, SolveError, WarmOutcome, WarmStart,
+    lower, Cmp, Kernel, Problem, Sense, SimplexOptions, SolveError, WarmOutcome, WarmStart,
 };
 use ss_num::Ratio;
 
 fn sparse_opts() -> SimplexOptions {
-    SimplexOptions::with_kernel(KernelChoice::Sparse)
+    SimplexOptions::with_kernel(Kernel::SparseRevised)
 }
 
 /// A steady-state-shaped LP family under multiplicative drift: a chain of
@@ -157,8 +157,8 @@ fn dual_rung_agrees_with_both_primal_kernels() {
         "drift fell off the warm ladder: {:?}",
         warm.outcome
     );
-    let sparse_cold = after.solve_kernel::<Ratio>(KernelChoice::Sparse).unwrap();
-    let dense_cold = after.solve_kernel::<Ratio>(KernelChoice::Dense).unwrap();
+    let sparse_cold = after.solve_kernel::<Ratio>(Kernel::SparseRevised).unwrap();
+    let dense_cold = after.solve_kernel::<Ratio>(Kernel::Dense).unwrap();
     assert_eq!(warm.solution.objective(), sparse_cold.objective());
     assert_eq!(warm.solution.objective(), dense_cold.objective());
     after.verify_optimality(&warm.solution).unwrap();

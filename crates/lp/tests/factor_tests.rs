@@ -9,12 +9,12 @@
 
 use proptest::prelude::*;
 use ss_lp::{
-    lower, BasisFactorization, Cmp, EtaFile, FactorChoice, KernelChoice, Problem, RefactorMode,
-    RefactorPolicy, Sense, SimplexOptions, SparseLu, StandardForm, WarmStart,
+    lower, BasisFactorization, Cmp, EtaFile, Factor, Kernel, Problem, RefactorMode, RefactorPolicy,
+    Sense, SimplexOptions, SparseLu, StandardForm, WarmStart,
 };
 use ss_num::Ratio;
 
-fn opts(factor: FactorChoice, kernel: KernelChoice) -> SimplexOptions {
+fn opts(factor: Factor, kernel: Kernel) -> SimplexOptions {
     SimplexOptions {
         factor,
         kernel,
@@ -152,8 +152,8 @@ proptest! {
         cap in 3i64..8,
         phases in proptest::collection::vec((1i64..7, 1i64..7, 1i64..7), 2..5),
     ) {
-        let eta_opts = opts(FactorChoice::Eta, KernelChoice::Sparse);
-        let lu_opts = opts(FactorChoice::Lu, KernelChoice::Sparse);
+        let eta_opts = opts(Factor::EtaFile, Kernel::SparseRevised);
+        let lu_opts = opts(Factor::SparseLu, Kernel::SparseRevised);
         let mut warm_eta: Option<WarmStart> = None;
         let mut warm_lu: Option<WarmStart> = None;
         for (a, b, c) in phases {
@@ -194,13 +194,13 @@ proptest! {
             let exact = p.solve_exact().unwrap();
             let want = exact.objective().to_f64();
             let re = p
-                .solve_warm_with::<f64>(&opts(FactorChoice::Eta, KernelChoice::Sparse), warm_eta.as_ref())
+                .solve_warm_with::<f64>(&opts(Factor::EtaFile, Kernel::SparseRevised), warm_eta.as_ref())
                 .unwrap();
             let rl = p
-                .solve_warm_with::<f64>(&opts(FactorChoice::Lu, KernelChoice::Sparse), warm_lu.as_ref())
+                .solve_warm_with::<f64>(&opts(Factor::SparseLu, Kernel::SparseRevised), warm_lu.as_ref())
                 .unwrap();
             let dense = p
-                .solve_with::<f64>(&opts(FactorChoice::Lu, KernelChoice::Dense))
+                .solve_with::<f64>(&opts(Factor::SparseLu, Kernel::Dense))
                 .unwrap();
             for (tag, got) in [
                 ("eta", re.solution.objective()),
@@ -235,9 +235,9 @@ fn dependent_warm_basis_is_repaired_through_lu_refactorization() {
         vec![0, 0, 1, 1, 2],
         vec![true; sf.ncols],
     );
-    for factor in [FactorChoice::Eta, FactorChoice::Lu] {
+    for factor in [Factor::EtaFile, Factor::SparseLu] {
         let run = p
-            .solve_warm_with::<Ratio>(&opts(factor, KernelChoice::Sparse), Some(&garbage))
+            .solve_warm_with::<Ratio>(&opts(factor, Kernel::SparseRevised), Some(&garbage))
             .unwrap();
         assert_eq!(
             run.solution.objective(),
@@ -284,7 +284,7 @@ fn forrest_tomlin_survives_bound_flips() {
     }
     let p = flip_heavy(false);
     let cold = p.solve_exact().unwrap();
-    let lu = opts(FactorChoice::Lu, KernelChoice::Sparse);
+    let lu = opts(Factor::SparseLu, Kernel::SparseRevised);
     let run = p.solve_warm_with::<Ratio>(&lu, None).unwrap();
     assert_eq!(run.solution.objective(), cold.objective());
     // Re-solve warm from the optimum after flipping costs so previously
@@ -296,7 +296,7 @@ fn forrest_tomlin_survives_bound_flips() {
     assert_eq!(warm.solution.objective(), qcold.objective());
     q.verify_optimality(&warm.solution).unwrap();
     // And the eta backend sees the same chain identically.
-    let eta = opts(FactorChoice::Eta, KernelChoice::Sparse);
+    let eta = opts(Factor::EtaFile, Kernel::SparseRevised);
     let run_e = q.solve_warm_with::<Ratio>(&eta, Some(&run.warm)).unwrap();
     assert_eq!(run_e.solution.objective(), qcold.objective());
 }
@@ -312,11 +312,11 @@ fn aggressive_refactorization_policy_changes_no_answers() {
         max_updates: 1,
         ..RefactorPolicy::default()
     };
-    for factor in [FactorChoice::Eta, FactorChoice::Lu] {
+    for factor in [Factor::EtaFile, Factor::SparseLu] {
         let o = SimplexOptions {
             factor,
             refactor: policy,
-            kernel: KernelChoice::Sparse,
+            kernel: Kernel::SparseRevised,
             ..SimplexOptions::default()
         };
         let mut warm: Option<WarmStart> = None;
@@ -347,11 +347,11 @@ fn aggressive_refactorization_policy_changes_no_answers() {
 fn factor_stats_record_backend_and_work() {
     let p = drifting_chain(6, &[2, 3, 5], 5);
     for (factor, tag) in [
-        (FactorChoice::Eta, ss_lp::Factor::EtaFile),
-        (FactorChoice::Lu, ss_lp::Factor::SparseLu),
+        (Factor::EtaFile, ss_lp::Factor::EtaFile),
+        (Factor::SparseLu, ss_lp::Factor::SparseLu),
     ] {
         let sol = p
-            .solve_with::<f64>(&opts(factor, KernelChoice::Sparse))
+            .solve_with::<f64>(&opts(factor, Kernel::SparseRevised))
             .unwrap();
         let st = sol.factor();
         assert_eq!(st.backend, tag);

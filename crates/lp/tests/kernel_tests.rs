@@ -5,7 +5,7 @@
 //! for both.
 
 use proptest::prelude::*;
-use ss_lp::{Cmp, Kernel, KernelChoice, PivotRule, Problem, Sense, SolveError};
+use ss_lp::{Cmp, Kernel, PivotRule, Problem, Sense, SolveError};
 use ss_num::Ratio;
 
 fn r(n: i64, d: i64) -> Ratio {
@@ -18,8 +18,8 @@ fn ri(n: i64) -> Ratio {
 
 /// Both kernels, exact arithmetic: objective and duals certify.
 fn assert_kernels_agree_exact(p: &Problem) {
-    let dense = p.solve_kernel::<Ratio>(KernelChoice::Dense).unwrap();
-    let sparse = p.solve_kernel::<Ratio>(KernelChoice::Sparse).unwrap();
+    let dense = p.solve_kernel::<Ratio>(Kernel::Dense).unwrap();
+    let sparse = p.solve_kernel::<Ratio>(Kernel::SparseRevised).unwrap();
     assert_eq!(dense.kernel(), Kernel::Dense);
     assert_eq!(sparse.kernel(), Kernel::SparseRevised);
     assert_eq!(
@@ -45,7 +45,7 @@ fn textbook_instances_agree() {
     p.add_constraint("c2", [(y, ri(2))], Cmp::Le, ri(12));
     p.add_constraint("c3", [(x, ri(3)), (y, ri(2))], Cmp::Le, ri(18));
     assert_kernels_agree_exact(&p);
-    let s = p.solve_kernel::<Ratio>(KernelChoice::Sparse).unwrap();
+    let s = p.solve_kernel::<Ratio>(Kernel::SparseRevised).unwrap();
     assert_eq!(s.objective(), &ri(36));
     assert_eq!(s.value(x), &ri(2));
     assert_eq!(s.value(y), &ri(6));
@@ -97,7 +97,7 @@ fn beale_cycling_instance_terminates_sparse() {
     );
     p.add_constraint("r3", [(x6, ri(1))], Cmp::Le, ri(1));
     assert_kernels_agree_exact(&p);
-    let s = p.solve_kernel::<Ratio>(KernelChoice::Sparse).unwrap();
+    let s = p.solve_kernel::<Ratio>(Kernel::SparseRevised).unwrap();
     assert_eq!(s.objective(), &r(-1, 20));
     assert_eq!(s.pivot_rule(), PivotRule::Bland);
 }
@@ -113,7 +113,7 @@ fn redundant_equality_rows_survive_sparse() {
     p.add_constraint("e1", [(x, ri(1)), (y, ri(1))], Cmp::Eq, ri(2));
     p.add_constraint("e2", [(x, ri(1)), (y, ri(1))], Cmp::Eq, ri(2));
     assert_kernels_agree_exact(&p);
-    let s = p.solve_kernel::<Ratio>(KernelChoice::Sparse).unwrap();
+    let s = p.solve_kernel::<Ratio>(Kernel::SparseRevised).unwrap();
     assert_eq!(s.objective(), &ri(2));
 }
 
@@ -125,7 +125,7 @@ fn infeasible_and_unbounded_detected_sparse() {
     p.add_constraint("lo", [(x, ri(1))], Cmp::Ge, ri(5));
     p.add_constraint("hi", [(x, ri(1))], Cmp::Le, ri(2));
     assert_eq!(
-        p.solve_kernel::<Ratio>(KernelChoice::Sparse).unwrap_err(),
+        p.solve_kernel::<Ratio>(Kernel::SparseRevised).unwrap_err(),
         SolveError::Infeasible
     );
 
@@ -135,7 +135,7 @@ fn infeasible_and_unbounded_detected_sparse() {
     q.set_objective_coeff(x, ri(1));
     q.add_constraint("c", [(x, ri(1)), (y, ri(-1))], Cmp::Le, ri(1));
     assert_eq!(
-        q.solve_kernel::<Ratio>(KernelChoice::Sparse).unwrap_err(),
+        q.solve_kernel::<Ratio>(Kernel::SparseRevised).unwrap_err(),
         SolveError::Unbounded
     );
 }
@@ -169,8 +169,21 @@ fn bounds_only_problem_agrees() {
     p.set_objective_coeff(x, ri(1));
     p.set_objective_coeff(y, ri(1));
     assert_kernels_agree_exact(&p);
-    let s = p.solve_kernel::<Ratio>(KernelChoice::Sparse).unwrap();
+    let s = p.solve_kernel::<Ratio>(Kernel::SparseRevised).unwrap();
     assert_eq!(s.objective(), &r(5, 6));
+}
+
+#[test]
+fn default_solves_run_on_the_sparse_kernel() {
+    let mut p = Problem::new(Sense::Maximize);
+    let x = p.add_var_bounded("x", ri(3));
+    p.set_objective_coeff(x, ri(1));
+    p.add_constraint("c", [(x, ri(2))], Cmp::Le, ri(4));
+    assert_eq!(ss_lp::default_kernel(), Kernel::SparseRevised);
+    let exact = p.solve_exact().unwrap();
+    assert_eq!(exact.kernel(), Kernel::SparseRevised);
+    assert_eq!(exact.objective(), &ri(2));
+    assert_eq!(p.solve_f64().unwrap().kernel(), Kernel::SparseRevised);
 }
 
 #[test]
@@ -179,14 +192,14 @@ fn empty_constraint_set_zero_objective() {
     // objective is unbounded. Both kernels must agree on both.
     let mut p = Problem::new(Sense::Maximize);
     let _x = p.add_var("x");
-    for k in [KernelChoice::Dense, KernelChoice::Sparse] {
+    for k in [Kernel::Dense, Kernel::SparseRevised] {
         let s = p.solve_kernel::<Ratio>(k).unwrap();
         assert_eq!(s.objective(), &ri(0));
     }
     let mut q = Problem::new(Sense::Maximize);
     let x = q.add_var("x");
     q.set_objective_coeff(x, ri(1));
-    for k in [KernelChoice::Dense, KernelChoice::Sparse] {
+    for k in [Kernel::Dense, Kernel::SparseRevised] {
         assert_eq!(
             q.solve_kernel::<Ratio>(k).unwrap_err(),
             SolveError::Unbounded
@@ -217,7 +230,7 @@ fn long_pivot_chains_cross_reinversion() {
         );
     }
     assert_kernels_agree_exact(&p);
-    let s = p.solve_kernel::<Ratio>(KernelChoice::Sparse).unwrap();
+    let s = p.solve_kernel::<Ratio>(Kernel::SparseRevised).unwrap();
     assert!(
         s.iterations() > 64,
         "wanted a reinversion-crossing solve, got {} pivots",
@@ -262,8 +275,8 @@ proptest! {
         obj in prop::collection::vec(0i64..5, 8),
     ) {
         let p = random_lp(nv, nc, &seed, &rhs, &obj);
-        let dense = p.solve_kernel::<Ratio>(KernelChoice::Dense).unwrap();
-        let sparse = p.solve_kernel::<Ratio>(KernelChoice::Sparse).unwrap();
+        let dense = p.solve_kernel::<Ratio>(Kernel::Dense).unwrap();
+        let sparse = p.solve_kernel::<Ratio>(Kernel::SparseRevised).unwrap();
         prop_assert_eq!(dense.objective(), sparse.objective());
         p.check_feasible(sparse.values()).unwrap();
         p.verify_optimality(&sparse).unwrap();
@@ -279,8 +292,8 @@ proptest! {
         obj in prop::collection::vec(0i64..5, 8),
     ) {
         let p = random_lp(nv, nc, &seed, &rhs, &obj);
-        let dense = p.solve_kernel::<f64>(KernelChoice::Dense).unwrap();
-        let sparse = p.solve_kernel::<f64>(KernelChoice::Sparse).unwrap();
+        let dense = p.solve_kernel::<f64>(Kernel::Dense).unwrap();
+        let sparse = p.solve_kernel::<f64>(Kernel::SparseRevised).unwrap();
         prop_assert!(
             (dense.objective() - sparse.objective()).abs() <= 1e-6 * (1.0 + dense.objective().abs()),
             "dense {} vs sparse {}", dense.objective(), sparse.objective()
@@ -299,7 +312,7 @@ proptest! {
         obj in prop::collection::vec(0i64..5, 8),
     ) {
         let p = random_lp(nv, nc, &seed, &rhs, &obj);
-        let s = p.solve_kernel::<Ratio>(KernelChoice::Sparse).unwrap();
+        let s = p.solve_kernel::<Ratio>(Kernel::SparseRevised).unwrap();
         p.check_feasible(s.values()).unwrap();
         prop_assert_eq!(p.eval_objective(s.values()), s.objective().clone());
     }

@@ -1,6 +1,7 @@
 //! Pricing-rule agreement tests: devex, Dantzig, and Bland are different
-//! *orderings* over the same simplex — on any LP, under either kernel and
-//! either scalar backend, they must land on the same optimum. Exact
+//! *orderings* over the same simplex — on any LP, under either kernel,
+//! either factorization, either bound handling and either scalar backend,
+//! they must land on the same optimum. Exact
 //! solves must be identical rationals with verifying duality
 //! certificates; `f64` solves must agree within tolerance. Explicit
 //! Dantzig/devex on the exact backend lean on the Bland stall-fallback
@@ -9,7 +10,7 @@
 
 use proptest::prelude::*;
 use ss_lp::{
-    lower, CacheAudit, Cmp, FactorChoice, KernelChoice, KernelOutput, PivotRule, Pricing, Problem,
+    lower, BoundMode, CacheAudit, Cmp, Factor, Kernel, KernelOutput, PivotRule, Pricing, Problem,
     RefactorPolicy, Scalar, Sense, SimplexOptions, Solution, SparseRevised,
 };
 use ss_num::Ratio;
@@ -18,7 +19,7 @@ fn ri(n: i64) -> Ratio {
     Ratio::from_int(n)
 }
 
-fn opts(pricing: Pricing, kernel: KernelChoice) -> SimplexOptions {
+fn opts(pricing: Pricing, kernel: Kernel) -> SimplexOptions {
     SimplexOptions {
         pricing,
         kernel,
@@ -26,38 +27,67 @@ fn opts(pricing: Pricing, kernel: KernelChoice) -> SimplexOptions {
     }
 }
 
-const RULES: [Pricing; 3] = [Pricing::Bland, Pricing::Dantzig, Pricing::Devex];
-const KERNELS: [KernelChoice; 2] = [KernelChoice::Dense, KernelChoice::Sparse];
+const KERNELS: [Kernel; 2] = [Kernel::Dense, Kernel::SparseRevised];
+const FACTORS: [Factor; 2] = [Factor::EtaFile, Factor::SparseLu];
+const BOUND_MODES: [BoundMode; 2] = [BoundMode::Native, BoundMode::LoweredRows];
 
-/// Every rule × kernel lands on the reference exact optimum, records the
+/// The whole configuration matrix, every point a `SimplexOptions` literal
+/// and nothing else: 2 kernels × 2 factorizations × 2 bound modes × the 3
+/// explicit rules, plus `Pricing::Auto` at each.
+fn matrix() -> Vec<SimplexOptions> {
+    let rules = [
+        Pricing::Auto,
+        Pricing::Bland,
+        Pricing::Dantzig,
+        Pricing::Devex,
+    ];
+    let mut all = Vec::new();
+    for kernel in KERNELS {
+        for factor in FACTORS {
+            for bound_mode in BOUND_MODES {
+                for pricing in rules {
+                    all.push(SimplexOptions {
+                        max_iterations: 0,
+                        pricing,
+                        kernel,
+                        bound_mode,
+                        factor,
+                        refactor: RefactorPolicy::default(),
+                    });
+                }
+            }
+        }
+    }
+    all
+}
+
+/// Every configuration lands on the reference exact optimum, records the
 /// requested rule, and produces a verifying certificate.
 fn assert_rules_agree_exact(p: &Problem, reference: &Solution<Ratio>) {
-    for kernel in KERNELS {
-        for pricing in RULES {
-            let s = p.solve_with::<Ratio>(&opts(pricing, kernel)).unwrap();
-            assert_eq!(
-                s.objective(),
-                reference.objective(),
-                "{pricing:?} on {kernel:?} (Ratio) moved the optimum"
-            );
-            assert_eq!(s.pivot_rule(), pricing.resolve::<Ratio>(false));
-            p.check_feasible(s.values()).unwrap();
-            p.verify_optimality(&s).unwrap();
-        }
+    for o in matrix() {
+        let s = p.solve_with::<Ratio>(&o).unwrap();
+        assert_eq!(
+            s.objective(),
+            reference.objective(),
+            "{o:?} (Ratio) moved the optimum"
+        );
+        assert_eq!(s.pivot_rule(), o.pricing.resolve::<Ratio>());
+        assert_eq!(s.kernel(), o.kernel);
+        p.check_feasible(s.values()).unwrap();
+        p.verify_optimality(&s).unwrap();
     }
 }
 
 fn assert_rules_agree_f64(p: &Problem, reference_obj: f64) {
-    for kernel in KERNELS {
-        for pricing in RULES {
-            let s = p.solve_with::<f64>(&opts(pricing, kernel)).unwrap();
-            assert!(
-                (s.objective() - reference_obj).abs() <= 1e-6 * (1.0 + reference_obj.abs()),
-                "{pricing:?} on {kernel:?} (f64): {} vs reference {reference_obj}",
-                s.objective()
-            );
-            assert_eq!(s.pivot_rule(), pricing.resolve::<f64>(false));
-        }
+    for o in matrix() {
+        let s = p.solve_with::<f64>(&o).unwrap();
+        assert!(
+            (s.objective() - reference_obj).abs() <= 1e-9 * (1.0 + reference_obj.abs()),
+            "{o:?} (f64): {} vs reference {reference_obj}",
+            s.objective()
+        );
+        assert_eq!(s.pivot_rule(), o.pricing.resolve::<f64>());
+        assert_eq!(s.kernel(), o.kernel);
     }
 }
 
@@ -126,29 +156,12 @@ fn devex_reports_pricing_work() {
     }
 }
 
-#[test]
-fn force_bland_beats_any_explicit_rule() {
-    let mut p = Problem::new(Sense::Maximize);
-    let x = p.add_var("x");
-    p.set_objective_coeff(x, ri(1));
-    p.add_constraint("c", [(x, ri(1))], Cmp::Le, ri(5));
-    for pricing in RULES {
-        let o = SimplexOptions {
-            force_bland: true,
-            ..opts(pricing, KernelChoice::Sparse)
-        };
-        let s = p.solve_with::<f64>(&o).unwrap();
-        assert_eq!(s.pivot_rule(), PivotRule::Bland);
-        assert_eq!(s.objective(), &5.0);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Exact arithmetic: Bland, Dantzig, and devex walk different pivot
     /// sequences but the optimum is a property of the LP — identical
-    /// rationals, verifying certificates, on both kernels.
+    /// rationals, verifying certificates, at every point of the matrix.
     #[test]
     fn rules_identical_on_ratio(
         nv in 1usize..5,
@@ -159,18 +172,16 @@ proptest! {
     ) {
         let p = random_lp(nv, nc, &seed, &rhs, &obj);
         let reference = p.solve_exact().unwrap();
-        for kernel in KERNELS {
-            for pricing in RULES {
-                let s = p.solve_with::<Ratio>(&opts(pricing, kernel)).unwrap();
-                prop_assert_eq!(s.objective(), reference.objective());
-                p.check_feasible(s.values()).unwrap();
-                p.verify_optimality(&s).unwrap();
-            }
+        for o in matrix() {
+            let s = p.solve_with::<Ratio>(&o).unwrap();
+            prop_assert_eq!(s.objective(), reference.objective(), "{:?}", o);
+            p.check_feasible(s.values()).unwrap();
+            p.verify_optimality(&s).unwrap();
         }
     }
 
-    /// f64: all three rules within tolerance of the exact optimum, on
-    /// both kernels.
+    /// f64: every point of the matrix within tolerance of the exact
+    /// optimum.
     #[test]
     fn rules_agree_on_f64(
         nv in 1usize..6,
@@ -181,14 +192,12 @@ proptest! {
     ) {
         let p = random_lp(nv, nc, &seed, &rhs, &obj);
         let exact = p.solve_exact().unwrap().objective().to_f64();
-        for kernel in KERNELS {
-            for pricing in RULES {
-                let s = p.solve_with::<f64>(&opts(pricing, kernel)).unwrap();
-                prop_assert!(
-                    (s.objective() - exact).abs() <= 1e-6 * (1.0 + exact.abs()),
-                    "{:?} on {:?}: {} vs exact {}", pricing, kernel, s.objective(), exact
-                );
-            }
+        for o in matrix() {
+            let s = p.solve_with::<f64>(&o).unwrap();
+            prop_assert!(
+                (s.objective() - exact).abs() <= 1e-9 * (1.0 + exact.abs()),
+                "{:?}: {} vs exact {}", o, s.objective(), exact
+            );
         }
     }
 }
@@ -201,8 +210,6 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 const CACHED_RULES: [Pricing; 2] = [Pricing::Devex, Pricing::Dantzig];
-const FACTORS: [FactorChoice; 2] = [FactorChoice::Eta, FactorChoice::Lu];
-
 /// A bounded LP that `x = 1` satisfies, its rows rotating through `≤`,
 /// `≥` and `=` so the cold solve runs a real phase 1 (artificials active,
 /// then pinned) before phase 2.
@@ -234,13 +241,13 @@ fn mixed_lp(nv: usize, nc: usize, coeffs: &[i64], slack: &[i64], objs: &[i64]) -
 fn audited<S: Scalar>(
     p: &Problem,
     pricing: Pricing,
-    factor: FactorChoice,
+    factor: Factor,
     refactor: RefactorPolicy,
 ) -> (KernelOutput<S>, CacheAudit) {
     let o = SimplexOptions {
         factor,
         refactor,
-        ..opts(pricing, KernelChoice::Sparse)
+        ..opts(pricing, Kernel::SparseRevised)
     };
     SparseRevised
         .solve_audited(&lower::<S>(p), &o)

@@ -3,7 +3,7 @@
 //! exact-vs-f64 cross-check on random LPs.
 
 use proptest::prelude::*;
-use ss_lp::{Cmp, PivotRule, Problem, Sense, SimplexOptions, SolveError};
+use ss_lp::{Cmp, PivotRule, Pricing, Problem, Sense, SimplexOptions, SolveError};
 use ss_num::Ratio;
 
 fn r(n: i64, d: i64) -> Ratio {
@@ -215,7 +215,7 @@ fn redundant_equality_rows_dropped() {
 /// The anti-cycling contract: under `Pricing::Auto`, `Scalar::EXACT`
 /// drives pivot selection — exact scalars must run Bland's rule
 /// (termination guarantee on the degenerate steady-state LPs), `f64` must
-/// run devex reference pricing, and `force_bland` overrides. Asserted here
+/// run devex reference pricing, and `Pricing::Bland` overrides. Asserted here
 /// so the guarantee cannot silently regress behind a refactor of the
 /// kernel.
 #[test]
@@ -239,10 +239,10 @@ fn exact_scalar_selects_bland_f64_selects_devex() {
     let fast = p.solve_f64().unwrap();
     assert_eq!(fast.pivot_rule(), PivotRule::Devex);
 
-    // force_bland overrides devex for f64 — and both rules agree on the
+    // Pricing::Bland overrides devex for f64 — and both rules agree on the
     // optimum.
     let opts = SimplexOptions {
-        force_bland: true,
+        pricing: Pricing::Bland,
         ..SimplexOptions::default()
     };
     let forced = p.solve_with::<f64>(&opts).unwrap();
@@ -278,7 +278,7 @@ fn forced_bland_terminates_on_beale_f64() {
     );
     p.add_constraint("r3", [(x6, ri(1))], Cmp::Le, ri(1));
     let opts = SimplexOptions {
-        force_bland: true,
+        pricing: Pricing::Bland,
         ..SimplexOptions::default()
     };
     let s = p.solve_with::<f64>(&opts).unwrap();

@@ -1,7 +1,7 @@
 //! Warm-started re-solves: agreement with cold solves, the repair path,
 //! cross-kernel snapshot hand-off, and the cold-fallback conditions.
 
-use ss_lp::{Cmp, KernelChoice, Problem, Sense, SimplexOptions, WarmOutcome, WarmStart};
+use ss_lp::{Cmp, Kernel, Problem, Sense, SimplexOptions, WarmOutcome, WarmStart};
 use ss_num::Ratio;
 
 /// A small equality-heavy LP family parameterized by drifting
@@ -34,7 +34,7 @@ fn drifting_problem(a: i64, b: i64) -> Problem {
 }
 
 fn sparse_opts() -> SimplexOptions {
-    SimplexOptions::with_kernel(KernelChoice::Sparse)
+    SimplexOptions::with_kernel(Kernel::SparseRevised)
 }
 
 #[test]
@@ -109,7 +109,7 @@ fn shape_change_triggers_cold_fallback() {
 #[test]
 fn dense_kernel_falls_back_but_its_snapshot_seeds_sparse() {
     let p = drifting_problem(2, 3);
-    let dense_opts = SimplexOptions::with_kernel(KernelChoice::Dense);
+    let dense_opts = SimplexOptions::with_kernel(Kernel::Dense);
     let dense = p.solve_warm_with::<Ratio>(&dense_opts, None).unwrap();
     assert_eq!(dense.outcome, WarmOutcome::Cold);
     // The dense kernel has no warm path: a hint is reported as fallback.

@@ -67,7 +67,6 @@ pub use persist::TenantRecord;
 pub use reactor::ServerHandle;
 
 use ss_core::WarmOutcome;
-use ss_lp::KernelChoice;
 use ss_num::Ratio;
 use std::fmt;
 use std::path::PathBuf;
@@ -80,9 +79,6 @@ use worker::ShardQueue;
 pub struct ServiceConfig {
     /// Worker threads (each owns a shard of the tenants). At least 1.
     pub workers: usize,
-    /// LP kernel every tenant session runs on (`Auto` = the warm-capable
-    /// sparse revised simplex).
-    pub kernel: KernelChoice,
     /// Requests a worker drains from its shard queue per wakeup (≥ 1).
     pub batch: usize,
     /// Coalesce queued parameter updates per tenant (latest drift wins,
@@ -111,7 +107,6 @@ impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
         ServiceConfig {
             workers: 2,
-            kernel: KernelChoice::Auto,
             batch: 16,
             coalesce: true,
             reuse_lowering: true,
@@ -156,12 +151,6 @@ impl ServiceConfigBuilder {
     /// Worker threads (validated ≥ 1).
     pub fn workers(mut self, n: usize) -> Self {
         self.cfg.workers = n;
-        self
-    }
-
-    /// LP kernel for every tenant session.
-    pub fn kernel(mut self, k: KernelChoice) -> Self {
-        self.cfg.kernel = k;
         self
     }
 
@@ -373,7 +362,6 @@ impl Service {
             let q = ShardQueue::new();
             let wq = Arc::clone(&q);
             let cfg = worker::WorkerConfig {
-                kernel: config.kernel,
                 batch: config.batch.max(1),
                 reuse_lowering: config.reuse_lowering,
                 deadline_ms: config.deadline_ms,

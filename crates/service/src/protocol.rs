@@ -432,18 +432,22 @@ impl<'de> Deserialize<'de> for ResponseFrame {
 
 /// Serialize `msg` and write it as one length-prefixed frame (blocking).
 pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::Result<()> {
-    let payload = serde_json::to_string(msg)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let bytes = payload.as_bytes();
-    w.write_all(&(bytes.len() as u32).to_le_bytes())?;
-    w.write_all(bytes)?;
+    w.write_all(&encode_frame(msg)?)?;
     w.flush()
 }
 
 /// Encode `msg` as one frame into a byte buffer (for nonblocking writes).
+/// A payload over [`MAX_FRAME`] is rejected here, not sent for the peer to
+/// drop.
 pub fn encode_frame<T: Serialize>(msg: &T) -> io::Result<Vec<u8>> {
     let payload = serde_json::to_string(msg)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    if payload.len() > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame length {} exceeds limit {MAX_FRAME}", payload.len()),
+        ));
+    }
     let mut out = Vec::with_capacity(4 + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload.as_bytes());
@@ -451,14 +455,19 @@ pub fn encode_frame<T: Serialize>(msg: &T) -> io::Result<Vec<u8>> {
 }
 
 /// Read one frame and deserialize it (blocking). `Ok(None)` on a clean
-/// EOF at a frame boundary.
+/// EOF at a frame boundary — before the first byte of a length prefix; an
+/// EOF anywhere later is `UnexpectedEof`.
 pub fn read_frame<R: Read, T: for<'de> Deserialize<'de>>(r: &mut R) -> io::Result<Option<T>> {
     let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    loop {
+        match r.read(&mut len[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
+    r.read_exact(&mut len[1..])?;
     let len = u32::from_le_bytes(len) as usize;
     if len > MAX_FRAME {
         return Err(io::Error::new(
@@ -620,5 +629,28 @@ mod tests {
         let mut bad = FrameBuf::new();
         bad.extend(&(u32::MAX).to_le_bytes());
         assert!(bad.next_payload().is_err());
+    }
+
+    #[test]
+    fn only_an_eof_before_the_prefix_is_a_clean_shutdown() {
+        let wire = encode_frame(&RequestFrame {
+            seq: 7,
+            body: RequestBody::Snapshot,
+        })
+        .unwrap();
+        let read = |bytes: &[u8]| read_frame::<_, RequestFrame>(&mut &bytes[..]);
+        assert_eq!(read(&wire).unwrap().map(|f| f.seq), Some(7));
+        assert_eq!(read(&wire[..0]).unwrap(), None);
+        for torn in [1, 3] {
+            let err = read(&wire[..torn]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{torn} bytes");
+        }
+    }
+
+    #[test]
+    fn an_oversized_payload_is_rejected_at_encode_time() {
+        let big = "x".repeat(MAX_FRAME + 1);
+        let err = encode_frame(&big).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -16,7 +16,7 @@ use ss_core::drift::ParamScale;
 use ss_core::master_slave::MasterSlave;
 use ss_core::session::{SessionEvent, SolveSession};
 use ss_core::WarmOutcome;
-use ss_lp::{KernelChoice, WarmStart};
+use ss_lp::WarmStart;
 use ss_platform::{NodeId, Platform, PlatformSpec};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -211,7 +211,6 @@ impl ShardQueue {
 
 /// Per-worker knobs, split off [`crate::ServiceConfig`].
 pub(crate) struct WorkerConfig {
-    pub kernel: KernelChoice,
     pub batch: usize,
     pub reuse_lowering: bool,
     pub deadline_ms: Option<f64>,
@@ -573,12 +572,11 @@ impl Shard {
     }
 
     fn certify(&mut self, tenant: &str) -> Result<CertifiedRate, ServiceError> {
-        let kernel = self.cfg.kernel;
         let reuse = self.cfg.reuse_lowering;
         let Some(slot) = self.tenants.get_mut(tenant) else {
             return Err(ServiceError::UnknownTenant(tenant.to_string()));
         };
-        revive(slot, kernel, reuse);
+        revive(slot, reuse);
         let TenantState::Resident(sess) = &mut slot.state else {
             unreachable!("revive makes the slot resident")
         };
@@ -642,7 +640,7 @@ fn solve_slot(
     slot: &mut TenantSlot,
     coalesced: usize,
 ) -> Result<Replan, ServiceError> {
-    revive(slot, cfg.kernel, cfg.reuse_lowering);
+    revive(slot, cfg.reuse_lowering);
     let TenantState::Resident(sess) = &mut slot.state else {
         unreachable!("revive makes the slot resident")
     };
@@ -721,14 +719,14 @@ impl Shard {
 
 /// Rebuild a live session for a parked tenant, seeding it with the kept
 /// warm snapshot so the first re-plan after revival is warm, not cold.
-fn revive(slot: &mut TenantSlot, kernel: KernelChoice, reuse_lowering: bool) {
+fn revive(slot: &mut TenantSlot, reuse_lowering: bool) {
     if matches!(slot.state, TenantState::Resident(_)) {
         return;
     }
     let TenantState::Parked(warm) = &mut slot.state else {
         unreachable!()
     };
-    let mut sess = SolveSession::with_kernel(MasterSlave::new(slot.master), kernel);
+    let mut sess = SolveSession::new(MasterSlave::new(slot.master));
     sess.set_lowering_reuse(reuse_lowering);
     sess.set_base(slot.base.clone());
     if let Some(w) = warm.take() {

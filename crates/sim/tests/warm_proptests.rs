@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 use ss_core::master_slave::MasterSlave;
 use ss_core::session::SolveSession;
 use ss_core::{engine, WarmOutcome};
-use ss_lp::KernelChoice;
+use ss_lp::{Kernel, SimplexOptions};
 use ss_num::Ratio;
 use ss_platform::{topo, Platform};
 use ss_sim::dynamic::ParamScale;
@@ -37,12 +37,12 @@ fn random_drift(rng: &mut StdRng, g: &Platform) -> ParamScale {
     s
 }
 
-fn kernel_of(pick: u8) -> KernelChoice {
-    if pick == 0 {
-        KernelChoice::Sparse
+fn kernel_of(pick: u8) -> SimplexOptions {
+    SimplexOptions::with_kernel(if pick == 0 {
+        Kernel::SparseRevised
     } else {
-        KernelChoice::Dense
-    }
+        Kernel::Dense
+    })
 }
 
 proptest! {
@@ -63,7 +63,7 @@ proptest! {
         let (g, m) = random_platform(seed, p);
         let mut drift_rng = StdRng::seed_from_u64(seed ^ 0xabcdef);
         let mut sess: SolveSession<Ratio, MasterSlave> =
-            SolveSession::with_kernel(MasterSlave::new(m), kernel_of(pick));
+            SolveSession::with_options(MasterSlave::new(m), kernel_of(pick));
         for t in 0..nphases {
             let scale = if t == 0 {
                 ParamScale::nominal(&g)
@@ -101,7 +101,7 @@ proptest! {
         let (g, m) = random_platform(seed.wrapping_add(500), p);
         let mut drift_rng = StdRng::seed_from_u64(seed ^ 0x5eed);
         let mut sess: SolveSession<f64, MasterSlave> =
-            SolveSession::with_kernel(MasterSlave::new(m), kernel_of(pick));
+            SolveSession::with_options(MasterSlave::new(m), kernel_of(pick));
         for t in 0..nphases {
             let scale = if t == 0 {
                 ParamScale::nominal(&g)
@@ -130,7 +130,7 @@ proptest! {
         let (g1, m) = random_platform(seed.wrapping_add(900), p);
         let (g2, _) = random_platform(seed.wrapping_add(901), p + grow);
         let mut sess: SolveSession<Ratio, MasterSlave> =
-            SolveSession::with_kernel(MasterSlave::new(m), KernelChoice::Sparse);
+            SolveSession::new(MasterSlave::new(m));
         sess.resolve(&g1).unwrap();
         let edited = sess.resolve(&g2).unwrap();
         // The shape change is either absorbed warm through a migration or
