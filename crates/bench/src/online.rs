@@ -420,7 +420,7 @@ pub fn online_smoke() {
 /// wall-clock ratio** regresses past 2x the committed one (capped at 1.0
 /// — warm must at minimum still beat cold), or if any shape edit falls
 /// back to a cold solve (deterministic, no headroom needed; asserted
-/// inside [`run_point`]).
+/// inside `run_point`).
 pub fn online_check() {
     let committed = std::fs::read_to_string(BENCH_PATH)
         .unwrap_or_else(|e| panic!("cannot read committed BENCH_lp_online.json: {e}"));

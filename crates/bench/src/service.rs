@@ -3,10 +3,10 @@
 //! `bench-check` regression gate.
 //!
 //! The service's perf claims are operational, not algorithmic: batched
-//! queue draining + enqueue-time update coalescing + cached-lowering
-//! reuse should push sustained re-plans/sec well past a one-blocking-
-//! request-at-a-time baseline, and warm snapshot persistence should let
-//! a restarted service re-plan every tenant with **zero cold solves**.
+//! queue draining + enqueue-time update coalescing should push sustained
+//! re-plans/sec well past a one-blocking-request-at-a-time baseline, and
+//! warm snapshot persistence should let a restarted service re-plan every
+//! tenant with **zero cold solves**.
 //! [`service_scale`] measures both and records them (tenant-count sweep
 //! with p50/p99 latency, restart recovery) to `BENCH_service.json`,
 //! asserting in-sweep that the batched configuration beats the unbatched
@@ -65,27 +65,25 @@ fn tenant_fleet(n: usize) -> Vec<(String, Platform, NodeId)> {
         .collect()
 }
 
-/// The batched configuration under test: coalescing, batch draining and
-/// cached-lowering reuse all on.
+/// The batched configuration under test: coalescing and batch draining
+/// both on.
 fn batched_config(workers: usize) -> ServiceConfig {
     ServiceConfig::builder()
         .workers(workers)
         .batch(64)
         .coalesce(true)
-        .reuse_lowering(true)
         .build()
         .expect("static config is valid")
 }
 
 /// The baseline the tentpole is measured against: one request per queue
-/// wakeup, no coalescing, fresh CSC lowering every solve — the shape of
-/// the old blocking-`recv` service loop.
+/// wakeup, no coalescing — the shape of the old blocking-`recv` service
+/// loop.
 fn unbatched_config(workers: usize) -> ServiceConfig {
     ServiceConfig::builder()
         .workers(workers)
         .batch(1)
         .coalesce(false)
-        .reuse_lowering(false)
         .build()
         .expect("static config is valid")
 }
@@ -191,34 +189,41 @@ struct RestartPoint {
 /// snapshot directory, re-plan every tenant once. Every post-restart
 /// re-plan must ride a warm basis (zero cold solves) — that is the
 /// persistence tentpole's acceptance claim, asserted here. The cold
-/// reference is registering the same fleet from scratch.
+/// reference is registering the same fleet from scratch, journaling into
+/// an empty directory so both sides of the comparison pay the disk.
 fn restart_recovery(n: usize) -> RestartPoint {
     let fleet = tenant_fleet(n);
     let dir = std::env::temp_dir().join(format!("ss-bench-service-{}", std::process::id()));
+    let cold_dir = dir.with_extension("cold");
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&cold_dir);
+    let persisted = |dir: &std::path::Path| ServiceConfig {
+        persist_dir: Some(dir.to_path_buf()),
+        ..batched_config(4)
+    };
 
     // Cold reference: a fresh fleet registration is n hint-less solves.
+    // Like the warm side below, the clock runs from spawn to the last
+    // answer and stops before shutdown's journal-everything pass.
     let t0 = Instant::now();
+    let cold_register_ms;
     {
-        let service = Service::spawn(batched_config(4));
+        let service = Service::spawn(persisted(&cold_dir));
         let client = service.client();
         for (id, g, m) in &fleet {
             client
                 .register(id.clone(), g.clone(), *m)
                 .expect("register");
         }
+        cold_register_ms = t0.elapsed().as_secs_f64() * 1e3;
         service.shutdown();
     }
-    let cold_register_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let _ = std::fs::remove_dir_all(&cold_dir);
 
     // First life: register, drift twice, die. Graceful shutdown journals
     // every tenant's warm snapshot.
     {
-        let cfg = ServiceConfig {
-            persist_dir: Some(dir.clone()),
-            ..batched_config(4)
-        };
-        let service = Service::spawn(cfg);
+        let service = Service::spawn(persisted(&dir));
         let client = service.client();
         let mut rng = StdRng::seed_from_u64(0x0eaf);
         for (id, g, m) in &fleet {
@@ -241,11 +246,7 @@ fn restart_recovery(n: usize) -> RestartPoint {
     let t0 = Instant::now();
     let warm_recover_ms;
     {
-        let cfg = ServiceConfig {
-            persist_dir: Some(dir.clone()),
-            ..batched_config(4)
-        };
-        let service = Service::spawn(cfg);
+        let service = Service::spawn(persisted(&dir));
         let client = service.client();
         let mut rng = StdRng::seed_from_u64(0x0eaf + 1);
         for (id, g, _) in &fleet {

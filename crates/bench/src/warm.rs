@@ -225,13 +225,13 @@ fn sweep_platform(p: usize) -> WarmSweep {
 }
 
 /// `warm-scale`: a drifting p = 96 / 192 / 256 / 512 platform re-solved
-/// across [`PHASES`] phases through a hot session vs from scratch;
+/// across `PHASES` phases through a hot session vs from scratch;
 /// per-phase pivots, times, snapshot overhead, factorization split and
 /// warm paths recorded to `BENCH_lp_warm.json`, with the in-sweep
 /// assertions that warm re-solves pivot strictly less on average, never
 /// fall back cold, and — up to p = 256 — beat cold on wall-clock (at
 /// p = 512 the warm/cold clock ratio is recorded as `warm_over_cold_ms`
-/// instead; see [`sweep_platform`]). The p ≥ 256 points are
+/// instead; see `sweep_platform`). The p ≥ 256 points are
 /// what the sparse-LU basis (see `ss_lp::factor`) unlocked: under the
 /// eta file their per-phase FTRAN/BTRAN cost grew with accumulated
 /// pivots and the sweep did not finish in CI budget.

@@ -219,7 +219,6 @@ pub struct SolveSession<S: Scalar, F: Formulation> {
     lowered: Option<StandardForm<S>>,
     layout: Option<FormLayout>,
     base: Option<Platform>,
-    reuse_lowering: bool,
     stats: SessionStats,
     _scalar: PhantomData<S>,
 }
@@ -243,7 +242,6 @@ impl<S: Scalar, F: Formulation> SolveSession<S, F> {
             lowered: None,
             layout: None,
             base: None,
-            reuse_lowering: true,
             stats: SessionStats::default(),
             _scalar: PhantomData,
         }
@@ -293,17 +291,6 @@ impl<S: Scalar, F: Formulation> SolveSession<S, F> {
         self.warm = Some(warm);
     }
 
-    /// Enable or disable symbolic-lowering reuse (on by default). With
-    /// reuse off every re-solve re-lowers from scratch — the honest
-    /// "unbatched" baseline the `service-scale` benchmark compares
-    /// against.
-    pub fn set_lowering_reuse(&mut self, on: bool) {
-        self.reuse_lowering = on;
-        if !on {
-            self.lowered = None;
-        }
-    }
-
     /// Re-solve against `g`'s current parameters, warm-starting from the
     /// previous solve when possible, and advance the session state.
     pub fn resolve(&mut self, g: &Platform) -> Result<SessionSolve<S, F>, CoreError> {
@@ -314,10 +301,10 @@ impl<S: Scalar, F: Formulation> SolveSession<S, F> {
         // matches (numeric refresh, allocation-free); fall back to a full
         // symbolic lowering on the first solve or after a shape change.
         let tl = Instant::now();
-        let reused = match (self.reuse_lowering, self.lowered.as_mut()) {
-            (true, Some(sf)) => ss_lp::refresh(&p, sf),
-            _ => false,
-        };
+        let reused = self
+            .lowered
+            .as_mut()
+            .is_some_and(|sf| ss_lp::refresh(&p, sf));
         let mut edit: Option<EditSummary> = None;
         if !reused {
             let new_sf = ss_lp::lower_with::<S>(&p, self.opts.bound_mode);
@@ -602,15 +589,9 @@ mod tests {
         let second = sess.resolve(&g).unwrap();
         assert!(second.telemetry.lowering_reused);
         assert_eq!(sess.stats().lowering_reuses, 1);
-        // The refreshed-form solve agrees with a from-scratch session.
-        let mut fresh: SolveSession<f64, _> = SolveSession::new(MasterSlave::new(m));
-        fresh.set_lowering_reuse(false);
-        fresh.resolve(&g).unwrap();
-        let uncached = fresh.resolve(&g).unwrap();
-        assert!(!uncached.telemetry.lowering_reused);
-        assert!(
-            (second.activities.objective_f64() - uncached.activities.objective_f64()).abs() < 1e-12
-        );
+        // The refreshed-form solve agrees with a from-scratch cold solve.
+        let cold = crate::engine::solve_approx(&MasterSlave::new(m), &g).unwrap();
+        assert!((second.activities.objective_f64() - cold.objective_f64()).abs() < 1e-12);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use ss_core::engine::{self, Formulation};
 use ss_core::master_slave::MasterSlave;
 use ss_core::multicast::EdgeCoupling;
 use ss_core::{all_to_all, broadcast, dag, multicast, reduce, scatter};
-use ss_lp::{Factor, Kernel, Pricing, SimplexOptions, SparseRevised};
+use ss_lp::{solve_audited, Factor, Kernel, Pricing, SimplexOptions};
 use ss_num::Ratio;
 use ss_platform::{topo, NodeId, Platform};
 
@@ -182,10 +182,10 @@ proptest! {
                     kernel: Kernel::SparseRevised,
                     ..SimplexOptions::default()
                 };
-                let (out, audit) = SparseRevised.solve_audited(&exact_sf, &opts).unwrap();
+                let (out, audit) = solve_audited(&exact_sf, &opts).unwrap();
                 prop_assert_eq!(audit.mismatches, 0, "Ratio {:?}/{:?}", pricing, factor);
                 prop_assert_eq!(audit.checks, out.iterations);
-                let (out, audit) = SparseRevised.solve_audited(&fast_sf, &opts).unwrap();
+                let (out, audit) = solve_audited(&fast_sf, &opts).unwrap();
                 prop_assert!(
                     audit.max_rel_err <= 1e-9,
                     "f64 {:?}/{:?}: cache drifted {:.3e} off a fresh repricing",

@@ -1,5 +1,5 @@
-//! Incremental shape edits on a lowered [`StandardForm`], with basis
-//! migration — the online arrivals/departures layer.
+//! Basis migration across LP shape changes — the online
+//! arrivals/departures layer.
 //!
 //! [`refresh`](crate::standard::refresh) covers numeric drift on a fixed
 //! shape; this module covers the *other* online regime: tenants join and
@@ -9,66 +9,32 @@
 //! an [`EditPlan`]: a column correspondence between the old and the new
 //! form that carries the warm basis *across* the shape change.
 //!
-//! Two ways to obtain a plan:
-//!
-//! * **In-place edits** — [`StandardForm::add_columns`],
-//!   [`StandardForm::remove_columns`], [`StandardForm::add_rows`],
-//!   [`StandardForm::remove_rows`] mutate the form and return the plan.
-//!   The CSC arrays are rebuilt (O(nnz) — the lowering is not the
-//!   expensive part of a solve); what the plan saves is **pivot work**:
-//!   the migrated basis refactorizes once and enters phase 2 (or a
-//!   bounded repair) instead of a cold two-phase solve.
-//! * **Layout diffing** — when the caller rebuilds the [`Problem`] from
-//!   scratch (the session layer does: a platform arrival re-runs the
-//!   whole formulation), [`FormLayout::capture`] fingerprints each form by
-//!   its variable/row *names* and [`FormLayout::plan_to`] matches the two
-//!   fingerprints into the same [`EditPlan`]. Surviving tenants keep
-//!   their names, so their basic columns survive the diff.
+//! A plan comes from **layout diffing**: the caller rebuilds the
+//! [`Problem`] from scratch (the session layer does: a platform arrival
+//! re-runs the whole formulation), [`FormLayout::capture`] fingerprints
+//! each lowered form by its variable/row *names*, and
+//! [`FormLayout::plan_to`] matches the two fingerprints into an
+//! [`EditPlan`]. Surviving tenants keep their names, so their basic
+//! columns survive the diff. Re-lowering is O(nnz) and not the expensive
+//! part of a solve; what the plan saves is **pivot work**: the migrated
+//! basis refactorizes once and enters phase 2 (or a bounded repair)
+//! instead of a cold two-phase solve.
 //!
 //! [`EditPlan::migrate`] then rewrites a [`WarmStart`]: surviving basic
 //! columns are remapped, vanished ones are dropped (the sparse warm path
 //! completes the missing rows from `basis0` and repairs the bounded
 //! infeasibility via the existing dual ladder), and added columns simply
 //! start nonbasic at their lower bound, entering through ordinary pricing
-//! if their reduced cost says so. `SparseState::apply_edit` consumes the
-//! same plan mid-flight without refactorizing when no basic column moved.
+//! if their reduced cost says so.
 //!
-//! Only [`BoundMode::Native`](crate::BoundMode) forms are editable — the
-//! lowered-rows oracle re-lowers fully, mirroring `refresh`.
+//! Only [`BoundMode::Native`](crate::BoundMode) forms have a layout — the
+//! lowered-rows oracle's bound rows have no problem-side names.
 
-use crate::problem::{Cmp, Problem};
+use crate::problem::Problem;
 use crate::scalar::Scalar;
 use crate::standard::{BoundMode, StandardForm};
 use crate::warm::WarmStart;
 use std::collections::HashMap;
-
-/// A structural column to append via [`StandardForm::add_columns`].
-///
-/// Entries and cost are given in the **problem's** orientation (as they
-/// would appear in the original constraint rows and objective); the edit
-/// applies the stored rhs-sign flips and the minimize negation itself.
-#[derive(Clone, Debug)]
-pub struct NewColumn<S> {
-    /// `(row, coefficient)` nonzeros, rows in the current form's indexing.
-    /// At most one entry per row.
-    pub entries: Vec<(usize, S)>,
-    /// Objective coefficient (problem sense, not maximize-normalized).
-    pub cost: S,
-    /// Optional upper bound `0 ≤ x ≤ u`.
-    pub upper: Option<S>,
-}
-
-/// A constraint row to append via [`StandardForm::add_rows`].
-#[derive(Clone, Debug)]
-pub struct NewRow<S> {
-    /// `(structural column, coefficient)` nonzeros, columns in the
-    /// current form's structural indexing. At most one entry per column.
-    pub coeffs: Vec<(usize, S)>,
-    /// Comparison operator.
-    pub cmp: Cmp,
-    /// Right-hand side (any sign; normalized like the full lowering).
-    pub rhs: S,
-}
 
 /// What a shape edit did to the warm basis — the migration receipt,
 /// surfaced through `SolveTelemetry` so online re-plans are auditable.
@@ -86,7 +52,7 @@ pub struct EditSummary {
 }
 
 /// A column correspondence from an old [`StandardForm`] to a new one,
-/// produced by the in-place edit methods or [`FormLayout::plan_to`].
+/// produced by [`FormLayout::plan_to`].
 ///
 /// `col_map[old_j] = Some(new_j)` when old column `old_j` survives as new
 /// column `new_j`; `None` when the edit removed it. The plan carries the
@@ -103,8 +69,9 @@ pub struct EditPlan {
 }
 
 impl EditPlan {
-    /// Build a plan from an explicit column map and the new dimensions.
-    pub fn new(
+    /// Build a plan from a column map into a form of the given dimensions
+    /// (every `Some(j)` must satisfy `j < new_ncols`).
+    pub(crate) fn new(
         col_map: Vec<Option<usize>>,
         new_m: usize,
         new_ncols: usize,
@@ -132,27 +99,6 @@ impl EditPlan {
     /// The old-column → new-column map (length: old `ncols`).
     pub fn col_map(&self) -> &[Option<usize>] {
         &self.col_map
-    }
-
-    /// Rows of the target form.
-    pub fn new_m(&self) -> usize {
-        self.new_m
-    }
-
-    /// Total columns of the target form.
-    pub fn new_ncols(&self) -> usize {
-        self.new_ncols
-    }
-
-    /// First artificial column of the target form.
-    pub fn new_art_start(&self) -> usize {
-        self.new_art_start
-    }
-
-    /// `true` when the plan is a pure relabeling: same row count and every
-    /// old column survives (adds are fine — they start nonbasic).
-    pub fn keeps_all_columns(&self) -> bool {
-        self.removed_cols == 0
     }
 
     /// Carry a warm snapshot across the edit.
@@ -278,15 +224,6 @@ impl FormLayout {
     }
 }
 
-/// One row of a decomposed Native form, in **normalized** orientation
-/// (rhs ≥ 0; `flipped` remembers the original sign).
-struct RowRec<S> {
-    coeffs: Vec<(usize, S)>,
-    cmp: Cmp,
-    rhs: S,
-    flipped: bool,
-}
-
 impl<S: Scalar> StandardForm<S> {
     /// Per row: the slack/surplus column claiming it (if any) and the
     /// artificial column claiming it (if any), recovered from the CSC
@@ -305,497 +242,51 @@ impl<S: Scalar> StandardForm<S> {
         }
         aux
     }
-
-    fn assert_editable(&self) {
-        assert_eq!(
-            self.bound_mode,
-            BoundMode::Native,
-            "only Native forms are editable (LoweredRows re-lowers fully)"
-        );
-        assert_eq!(
-            self.num_explicit, self.m,
-            "editable forms have no bound rows"
-        );
-    }
-
-    /// Split the form back into normalized per-row records. The inverse of
-    /// [`rebuild`]'s scatter: structural entries walk the CSC columns, the
-    /// row's comparison is read off its slack sign (positive slack = `≤`,
-    /// surplus = `≥`, artificial only = `=`).
-    fn decompose(&self) -> Vec<RowRec<S>> {
-        let mut rows: Vec<RowRec<S>> = self
-            .rhs
-            .iter()
-            .zip(&self.flipped)
-            .map(|(r, f)| RowRec {
-                coeffs: Vec::new(),
-                cmp: Cmp::Eq,
-                rhs: r.clone(),
-                flipped: *f,
-            })
-            .collect();
-        for j in 0..self.nstruct {
-            let (ridx, vals) = self.column(j);
-            for (i, v) in ridx.iter().zip(vals) {
-                rows[*i].coeffs.push((j, v.clone()));
-            }
-        }
-        for j in self.nstruct..self.art_start {
-            let (ridx, vals) = self.column(j);
-            rows[ridx[0]].cmp = if vals[0].is_negative() {
-                Cmp::Ge
-            } else {
-                Cmp::Le
-            };
-        }
-        rows
-    }
-
-    /// Reassemble a Native form from normalized rows — the symbolic half
-    /// of [`lower_with`](crate::standard::lower_with) without the sign
-    /// normalization (already done) or the problem walk.
-    fn rebuild(
-        nstruct: usize,
-        rows: Vec<RowRec<S>>,
-        cost_struct: Vec<S>,
-        upper_struct: Vec<Option<S>>,
-        negate: bool,
-    ) -> StandardForm<S> {
-        let m = rows.len();
-        let mut nslack = 0usize;
-        let mut nart = 0usize;
-        for r in &rows {
-            match r.cmp {
-                Cmp::Le => nslack += 1,
-                Cmp::Ge => {
-                    nslack += 1;
-                    nart += 1;
-                }
-                Cmp::Eq => nart += 1,
-            }
-        }
-        let ncols = nstruct + nslack + nart;
-        let art_start = nstruct + nslack;
-
-        let mut cols: Vec<Vec<(usize, S)>> = vec![Vec::new(); ncols];
-        let mut basis0 = vec![usize::MAX; m];
-        let mut witness = Vec::with_capacity(m);
-        let mut flipped = Vec::with_capacity(m);
-        let mut rhs = Vec::with_capacity(m);
-        let mut next_slack = nstruct;
-        let mut next_art = art_start;
-        for (i, r) in rows.into_iter().enumerate() {
-            let mut coeffs = r.coeffs;
-            coeffs.sort_unstable_by_key(|(j, _)| *j);
-            for (j, c) in coeffs {
-                cols[j].push((i, c));
-            }
-            rhs.push(r.rhs);
-            flipped.push(r.flipped);
-            match r.cmp {
-                Cmp::Le => {
-                    cols[next_slack].push((i, S::one()));
-                    basis0[i] = next_slack;
-                    witness.push(next_slack);
-                    next_slack += 1;
-                }
-                Cmp::Ge => {
-                    cols[next_slack].push((i, S::one().neg()));
-                    next_slack += 1;
-                    cols[next_art].push((i, S::one()));
-                    basis0[i] = next_art;
-                    witness.push(next_art);
-                    next_art += 1;
-                }
-                Cmp::Eq => {
-                    cols[next_art].push((i, S::one()));
-                    basis0[i] = next_art;
-                    witness.push(next_art);
-                    next_art += 1;
-                }
-            }
-        }
-
-        let nnz: usize = cols.iter().map(Vec::len).sum();
-        let mut col_ptr = Vec::with_capacity(ncols + 1);
-        let mut row_idx = Vec::with_capacity(nnz);
-        let mut vals = Vec::with_capacity(nnz);
-        col_ptr.push(0);
-        for col in cols {
-            for (i, v) in col {
-                row_idx.push(i);
-                vals.push(v);
-            }
-            col_ptr.push(row_idx.len());
-        }
-
-        let mut cost2 = cost_struct;
-        cost2.resize(ncols, S::zero());
-        let mut upper = upper_struct;
-        upper.resize(ncols, None);
-
-        StandardForm {
-            m,
-            ncols,
-            nstruct,
-            art_start,
-            col_ptr,
-            row_idx,
-            vals,
-            rhs,
-            basis0,
-            witness,
-            flipped,
-            negate,
-            cost2,
-            num_explicit: m,
-            bound_vars: Vec::new(),
-            upper,
-            bound_mode: BoundMode::Native,
-        }
-    }
-
-    /// Finish an edit: rebuild `self` from the mutated rows and diff the
-    /// auxiliary layouts into the plan. `struct_map`/`row_map` say where
-    /// each *old* structural column / row went.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_edit(
-        &mut self,
-        rows: Vec<RowRec<S>>,
-        nstruct: usize,
-        cost_struct: Vec<S>,
-        upper_struct: Vec<Option<S>>,
-        old_aux: Vec<(Option<usize>, Option<usize>)>,
-        old_ncols: usize,
-        struct_map: &[Option<usize>],
-        row_map: &[Option<usize>],
-    ) -> EditPlan {
-        *self = Self::rebuild(nstruct, rows, cost_struct, upper_struct, self.negate);
-        let new_aux = self.row_aux();
-        let mut col_map = vec![None; old_ncols];
-        for (j, t) in struct_map.iter().enumerate() {
-            col_map[j] = *t;
-        }
-        for (i, (old_slack, old_art)) in old_aux.into_iter().enumerate() {
-            let Some(ni) = row_map[i] else { continue };
-            if let (Some(o), Some(n)) = (old_slack, new_aux[ni].0) {
-                col_map[o] = Some(n);
-            }
-            if let (Some(o), Some(n)) = (old_art, new_aux[ni].1) {
-                col_map[o] = Some(n);
-            }
-        }
-        EditPlan::new(col_map, self.m, self.ncols, self.art_start)
-    }
-
-    /// Append structural columns (new variables). Existing structural
-    /// columns keep their indices; slack and artificial columns shift up
-    /// by `cols.len()`. The new columns start nonbasic at their lower
-    /// bound under any migrated basis and enter through ordinary pricing.
-    pub fn add_columns(&mut self, cols: &[NewColumn<S>]) -> EditPlan {
-        self.assert_editable();
-        let old_aux = self.row_aux();
-        let old_ncols = self.ncols;
-        let old_nstruct = self.nstruct;
-        let mut rows = self.decompose();
-        let mut cost_struct: Vec<S> = self.cost2[..old_nstruct].to_vec();
-        let mut upper_struct: Vec<Option<S>> = self.upper[..old_nstruct].to_vec();
-        for (k, c) in cols.iter().enumerate() {
-            let j = old_nstruct + k;
-            for (i, v) in &c.entries {
-                assert!(*i < self.m, "new column entry row {} out of range", i);
-                let v = if self.flipped[*i] { v.neg() } else { v.clone() };
-                rows[*i].coeffs.push((j, v));
-            }
-            cost_struct.push(if self.negate {
-                c.cost.neg()
-            } else {
-                c.cost.clone()
-            });
-            upper_struct.push(c.upper.clone());
-        }
-        let struct_map: Vec<Option<usize>> = (0..old_nstruct).map(Some).collect();
-        let row_map: Vec<Option<usize>> = (0..self.m).map(Some).collect();
-        self.finish_edit(
-            rows,
-            old_nstruct + cols.len(),
-            cost_struct,
-            upper_struct,
-            old_aux,
-            old_ncols,
-            &struct_map,
-            &row_map,
-        )
-    }
-
-    /// Remove the given structural columns (duplicates tolerated).
-    /// Remaining structural columns compact downward in order.
-    pub fn remove_columns(&mut self, victims: &[usize]) -> EditPlan {
-        self.assert_editable();
-        let old_aux = self.row_aux();
-        let old_ncols = self.ncols;
-        let old_nstruct = self.nstruct;
-        let mut gone = vec![false; old_nstruct];
-        for &v in victims {
-            assert!(v < old_nstruct, "only structural columns can be removed");
-            gone[v] = true;
-        }
-        let mut struct_map: Vec<Option<usize>> = Vec::with_capacity(old_nstruct);
-        let mut next = 0usize;
-        for g in &gone {
-            if *g {
-                struct_map.push(None);
-            } else {
-                struct_map.push(Some(next));
-                next += 1;
-            }
-        }
-        let mut rows = self.decompose();
-        for r in rows.iter_mut() {
-            r.coeffs = r
-                .coeffs
-                .drain(..)
-                .filter_map(|(j, v)| struct_map[j].map(|nj| (nj, v)))
-                .collect();
-        }
-        let cost_struct: Vec<S> = self.cost2[..old_nstruct]
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| !gone[*j])
-            .map(|(_, c)| c.clone())
-            .collect();
-        let upper_struct: Vec<Option<S>> = self.upper[..old_nstruct]
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| !gone[*j])
-            .map(|(_, u)| u.clone())
-            .collect();
-        let row_map: Vec<Option<usize>> = (0..self.m).map(Some).collect();
-        self.finish_edit(
-            rows,
-            next,
-            cost_struct,
-            upper_struct,
-            old_aux,
-            old_ncols,
-            &struct_map,
-            &row_map,
-        )
-    }
-
-    /// Append constraint rows at the bottom. Structural columns keep their
-    /// indices; existing slack/artificial columns are renumbered to keep
-    /// the row-order layout invariant (the plan tracks the moves). Each
-    /// new row's slack or artificial starts basic under a migrated basis
-    /// (the warm completion claims the unowned row from `basis0`).
-    pub fn add_rows(&mut self, new_rows: &[NewRow<S>]) -> EditPlan {
-        self.assert_editable();
-        let old_aux = self.row_aux();
-        let old_ncols = self.ncols;
-        let old_m = self.m;
-        let nstruct = self.nstruct;
-        let mut rows = self.decompose();
-        for nr in new_rows {
-            let mut rhs = nr.rhs.clone();
-            let flip = rhs.is_negative();
-            if flip {
-                rhs = rhs.neg();
-            }
-            let cmp = if flip {
-                match nr.cmp {
-                    Cmp::Le => Cmp::Ge,
-                    Cmp::Ge => Cmp::Le,
-                    Cmp::Eq => Cmp::Eq,
-                }
-            } else {
-                nr.cmp
-            };
-            let coeffs = nr
-                .coeffs
-                .iter()
-                .map(|(j, v)| {
-                    assert!(
-                        *j < nstruct,
-                        "new row coefficient column {} out of range",
-                        j
-                    );
-                    (*j, if flip { v.neg() } else { v.clone() })
-                })
-                .collect();
-            rows.push(RowRec {
-                coeffs,
-                cmp,
-                rhs,
-                flipped: flip,
-            });
-        }
-        let cost_struct: Vec<S> = self.cost2[..nstruct].to_vec();
-        let upper_struct: Vec<Option<S>> = self.upper[..nstruct].to_vec();
-        let struct_map: Vec<Option<usize>> = (0..nstruct).map(Some).collect();
-        let row_map: Vec<Option<usize>> = (0..old_m).map(Some).collect();
-        self.finish_edit(
-            rows,
-            nstruct,
-            cost_struct,
-            upper_struct,
-            old_aux,
-            old_ncols,
-            &struct_map,
-            &row_map,
-        )
-    }
-
-    /// Remove the given rows (duplicates tolerated), together with their
-    /// slack/artificial columns. Remaining rows compact downward.
-    pub fn remove_rows(&mut self, victims: &[usize]) -> EditPlan {
-        self.assert_editable();
-        let old_aux = self.row_aux();
-        let old_ncols = self.ncols;
-        let old_m = self.m;
-        let nstruct = self.nstruct;
-        let mut gone = vec![false; old_m];
-        for &v in victims {
-            assert!(v < old_m, "row {} out of range", v);
-            gone[v] = true;
-        }
-        let mut row_map: Vec<Option<usize>> = Vec::with_capacity(old_m);
-        let mut next = 0usize;
-        for g in &gone {
-            if *g {
-                row_map.push(None);
-            } else {
-                row_map.push(Some(next));
-                next += 1;
-            }
-        }
-        let rows: Vec<RowRec<S>> = self
-            .decompose()
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| !gone[*i])
-            .map(|(_, r)| r)
-            .collect();
-        let cost_struct: Vec<S> = self.cost2[..nstruct].to_vec();
-        let upper_struct: Vec<Option<S>> = self.upper[..nstruct].to_vec();
-        let struct_map: Vec<Option<usize>> = (0..nstruct).map(Some).collect();
-        self.finish_edit(
-            rows,
-            nstruct,
-            cost_struct,
-            upper_struct,
-            old_aux,
-            old_ncols,
-            &struct_map,
-            &row_map,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::Sense;
+    use crate::problem::{Cmp, Sense};
     use crate::standard::lower;
     use ss_num::Ratio;
 
-    fn base_problem() -> Problem {
+    /// maximize 3x + 2y (+ z)  s.t.  x + y (+ z) ≤ 6,  y ≥ 1,  0 ≤ x ≤ 4,
+    /// over the named subset of variables.
+    fn problem_over(vars: &[&str]) -> Problem {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var_bounded("x", Ratio::from_int(4));
-        let y = p.add_var("y");
-        p.set_objective_coeff(x, Ratio::from_int(3));
-        p.set_objective_coeff(y, Ratio::from_int(2));
-        p.add_constraint(
-            "cap",
-            [(x, Ratio::one()), (y, Ratio::one())],
-            Cmp::Le,
-            Ratio::from_int(6),
-        );
-        p.add_constraint("floor", [(y, Ratio::one())], Cmp::Ge, Ratio::from_int(1));
+        let mut cap = Vec::new();
+        let mut floor = Vec::new();
+        for &name in vars {
+            let (v, cost) = match name {
+                "x" => (p.add_var_bounded("x", Ratio::from_int(4)), 3),
+                "y" => (p.add_var("y"), 2),
+                _ => (p.add_var(name), 1),
+            };
+            p.set_objective_coeff(v, Ratio::from_int(cost));
+            cap.push((v, Ratio::one()));
+            if name == "y" {
+                floor.push((v, Ratio::one()));
+            }
+        }
+        p.add_constraint("cap", cap, Cmp::Le, Ratio::from_int(6));
+        p.add_constraint("floor", floor, Cmp::Ge, Ratio::from_int(1));
         p
     }
 
-    #[test]
-    fn add_columns_matches_full_relower() {
-        let mut sf = lower::<Ratio>(&base_problem());
-        let plan = sf.add_columns(&[NewColumn {
-            entries: vec![(0, Ratio::from_int(2)), (1, Ratio::one())],
-            cost: Ratio::from_int(5),
-            upper: Some(Ratio::from_int(2)),
-        }]);
-        let mut p = base_problem();
-        let z = p.add_var_bounded("z", Ratio::from_int(2));
-        p.set_objective_coeff(z, Ratio::from_int(5));
-        p.rows[0].expr.add(z, Ratio::from_int(2));
-        p.rows[1].expr.add(z, Ratio::one());
-        let fresh = lower::<Ratio>(&p);
-        assert_eq!(sf.vals, fresh.vals);
-        assert_eq!(sf.col_ptr, fresh.col_ptr);
-        assert_eq!(sf.row_idx, fresh.row_idx);
-        assert_eq!(sf.cost2, fresh.cost2);
-        assert_eq!(sf.upper, fresh.upper);
-        assert_eq!(sf.basis0, fresh.basis0);
-        assert_eq!(sf.witness, fresh.witness);
-        // Old structural cols map to themselves, slack/art shift by 1.
-        assert_eq!(plan.col_map()[0], Some(0));
-        assert_eq!(plan.col_map()[1], Some(1));
-        assert_eq!(plan.col_map()[2], Some(3)); // cap's slack
-        assert_eq!(plan.added_cols, 1);
-        assert_eq!(plan.removed_cols, 0);
+    fn base_problem() -> Problem {
+        problem_over(&["x", "y"])
     }
 
-    #[test]
-    fn remove_rows_and_columns_compact() {
-        let mut sf = lower::<Ratio>(&base_problem());
-        let plan = sf.remove_rows(&[1]);
-        let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var_bounded("x", Ratio::from_int(4));
-        let y = p.add_var("y");
-        p.set_objective_coeff(x, Ratio::from_int(3));
-        p.set_objective_coeff(y, Ratio::from_int(2));
-        p.add_constraint(
-            "cap",
-            [(x, Ratio::one()), (y, Ratio::one())],
-            Cmp::Le,
-            Ratio::from_int(6),
-        );
-        let fresh = lower::<Ratio>(&p);
-        assert_eq!(sf.vals, fresh.vals);
-        assert_eq!(sf.rhs, fresh.rhs);
-        assert_eq!(sf.basis0, fresh.basis0);
-        // The Ge row's surplus and artificial vanished with it.
-        assert!(plan.col_map()[3].is_none());
-        assert!(plan.col_map()[4].is_none());
-
-        let mut sf2 = lower::<Ratio>(&base_problem());
-        let plan2 = sf2.remove_columns(&[0]);
-        assert_eq!(sf2.nstruct, 1);
-        assert!(plan2.col_map()[0].is_none());
-        assert_eq!(plan2.col_map()[1], Some(0));
-        assert_eq!(sf2.upper[0], None);
-        assert_eq!(sf2.cost2[0], Ratio::from_int(2));
-    }
-
-    #[test]
-    fn add_rows_appends_and_renumbers_aux() {
-        let mut sf = lower::<Ratio>(&base_problem());
-        let plan = sf.add_rows(&[NewRow {
-            coeffs: vec![(0, Ratio::one())],
-            cmp: Cmp::Le,
-            rhs: Ratio::from_int(-3), // flips to Ge with positive rhs
-        }]);
-        assert_eq!(sf.m, 3);
-        assert!(sf.flipped[2]);
-        // Flipped Le becomes Ge: surplus + artificial on the new row.
-        let aux = sf.row_aux();
-        assert!(aux[2].0.is_some() && aux[2].1.is_some());
-        // Every old column survived a pure row append (aux renumbered).
-        assert!(plan.col_map().iter().all(Option::is_some));
-        assert_eq!(plan.removed_cols, 0);
+    fn lowered(p: &Problem) -> (StandardForm<Ratio>, FormLayout) {
+        let sf = lower::<Ratio>(p);
+        let layout = FormLayout::capture(p, &sf).expect("native form captures");
+        (sf, layout)
     }
 
     #[test]
     fn migrate_carries_basis_and_statuses() {
-        let mut sf = lower::<Ratio>(&base_problem());
+        let (sf, l0) = lowered(&base_problem());
         // Pretend a solve left x basic (row 0) and the Ge row's surplus
         // basic (row 1), with y nonbasic... at lower; no at-upper here.
         let warm = WarmStart::new(
@@ -805,12 +296,9 @@ mod tests {
             vec![0, 3],
             vec![false; sf.ncols],
         );
-        let plan = sf.add_columns(&[NewColumn {
-            entries: vec![(0, Ratio::one())],
-            cost: Ratio::one(),
-            upper: None,
-        }]);
-        let (migrated, summary) = plan.migrate(&warm);
+        // A variable arrives in the cap row: slack/artificial shift by 1.
+        let (sf, l1) = lowered(&problem_over(&["x", "y", "z"]));
+        let (migrated, summary) = l0.plan_to(&l1).migrate(&warm);
         assert!(migrated.shape_matches(&sf));
         assert_eq!(migrated.basis(), &[0, 4]);
         assert_eq!(summary.kept_basic, 2);
@@ -818,8 +306,8 @@ mod tests {
         assert_eq!(summary.added_cols, 1);
 
         // Now remove the basic structural column: it drops from the basis.
-        let plan2 = sf.remove_columns(&[0]);
-        let (migrated2, summary2) = plan2.migrate(&migrated);
+        let (sf, l2) = lowered(&problem_over(&["y", "z"]));
+        let (migrated2, summary2) = l1.plan_to(&l2).migrate(&migrated);
         assert!(migrated2.shape_matches(&sf));
         assert_eq!(summary2.dropped_basic, 1);
         assert_eq!(summary2.kept_basic, 1);
@@ -859,7 +347,7 @@ mod tests {
         let aux2 = sf2.row_aux();
         assert_eq!(plan.col_map()[aux1[0].0.unwrap()], aux2[1].0);
         assert_eq!(plan.col_map()[aux1[1].1.unwrap()], aux2[0].1);
-        assert_eq!(plan.new_m(), sf2.m);
-        assert_eq!(plan.new_ncols(), sf2.ncols);
+        assert_eq!(plan.new_m, sf2.m);
+        assert_eq!(plan.new_ncols, sf2.ncols);
     }
 }

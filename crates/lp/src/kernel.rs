@@ -1,12 +1,11 @@
-//! The pluggable LP-kernel abstraction: one lowering, many pivoting
-//! engines.
+//! Kernel selection and the solve entry points: one lowering, two
+//! pivoting engines.
 //!
-//! A kernel is anything that can take a lowered [`StandardForm`] to an
-//! optimal basis: the crate ships the original [`DenseTableau`] (full
-//! two-phase tableau, O(rows·cols) per pivot, trivially auditable) and the
-//! [`SparseRevised`](crate::sparse::SparseRevised) revised simplex (CSC
-//! columns, a factorized basis, pricing over nonzeros only — built for
-//! the >90%-zero steady-state LPs at scale). Both run on either
+//! A [`Kernel`] takes a lowered [`StandardForm`] to an optimal basis: the
+//! crate ships the original dense tableau (full two-phase tableau,
+//! O(rows·cols) per pivot, trivially auditable) and the sparse revised
+//! simplex (CSC columns, a factorized basis, pricing over nonzeros only —
+//! built for the >90%-zero steady-state LPs at scale). Both run on either
 //! [`Scalar`] backend. The sparse kernel is the default for *every*
 //! scalar, the exact `Ratio` path included; the dense tableau is the
 //! cross-check reference, selected like everything else through
@@ -16,7 +15,7 @@ use crate::scalar::Scalar;
 use crate::simplex::SimplexOptions;
 use crate::solution::{Solution, SolveError};
 use crate::standard::{KernelOutput, StandardForm};
-use crate::warm::{WarmKernelSolve, WarmOutcome, WarmRun, WarmStart};
+use crate::warm::{ShapeMismatch, WarmOutcome, WarmRun, WarmStart};
 use crate::Problem;
 
 /// A pivoting engine: what [`SimplexOptions::kernel`] selects and what a
@@ -40,72 +39,53 @@ pub fn default_kernel() -> Kernel {
     Kernel::default()
 }
 
-/// A pivoting engine: drives a lowered [`StandardForm`] to optimality.
-///
-/// Implementations must honor the crate's pricing contract (see
-/// [`crate::pricing`]): the entering rule is
-/// `opts.pricing.resolve::<S>()` — Bland for exact scalars under
-/// `Pricing::Auto` (anti-cycling, guaranteed termination),
-/// devex reference pricing for `f64`, and a Bland stall-fallback past
-/// half the pivot budget for every non-Bland rule — reported via
-/// [`KernelOutput::pivot_rule`], with pricing work counted in
-/// [`KernelOutput::pricing`].
-pub trait LpKernel<S: Scalar> {
-    /// Solve the lowered system to optimality.
-    fn solve(
-        &self,
-        sf: &StandardForm<S>,
-        opts: &SimplexOptions,
-    ) -> Result<KernelOutput<S>, SolveError>;
-
-    /// Solve with an optional warm-start hint (see [`crate::warm`] for
-    /// the cold → warm → repair → cold-fallback state machine).
-    ///
-    /// The default implementation cannot consume a hint: it runs the cold
-    /// [`solve`](LpKernel::solve) and reports
-    /// [`WarmOutcome::ColdFallback`] when one was supplied (the output
-    /// still snapshots the final basis, so a warm-capable kernel can pick
-    /// up from it on the next re-solve). [`SparseRevised`]
-    /// (crate::SparseRevised) overrides this with a real warm path.
-    fn solve_warm(
-        &self,
-        sf: &StandardForm<S>,
-        opts: &SimplexOptions,
-        warm: Option<&WarmStart>,
-    ) -> Result<WarmKernelSolve<S>, SolveError> {
-        let output = self.solve(sf, opts)?;
-        let outcome = if warm.is_some() {
-            WarmOutcome::ColdFallback
-        } else {
-            WarmOutcome::Cold
-        };
-        Ok(WarmKernelSolve {
-            output,
-            outcome,
-            mismatch: None,
-        })
-    }
+/// What one kernel run hands back: the kernel's output plus how the solve
+/// started.
+pub(crate) struct KernelRun<S> {
+    pub(crate) output: KernelOutput<S>,
+    /// How the solve started (see [`WarmOutcome`]).
+    pub(crate) outcome: WarmOutcome,
+    /// When the outcome is [`WarmOutcome::ColdFallback`] because the hint
+    /// was captured from a differently shaped form: the typed diagnosis.
+    /// `None` on every other path (including fallbacks for singular or
+    /// budget-stalled hints, which are numeric, not shape, failures).
+    pub(crate) mismatch: Option<ShapeMismatch>,
 }
-
-/// The original dense two-phase tableau kernel.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DenseTableau;
 
 /// The one place a kernel is picked and run: every solve in the crate —
 /// cold or warm, freshly lowered or refreshed in place — comes through
 /// here. `sf` must be a lowering under `opts.bound_mode`.
+///
+/// Both kernels honor the crate's pricing contract (see [`crate::pricing`]):
+/// the entering rule is `opts.pricing.resolve::<S>()` — Bland for exact
+/// scalars under `Pricing::Auto` (anti-cycling, guaranteed termination),
+/// devex reference pricing for `f64`, and a Bland stall-fallback past half
+/// the pivot budget for every non-Bland rule — reported via
+/// [`KernelOutput::pivot_rule`], with pricing work counted in
+/// [`KernelOutput::pricing`].
 fn run<S: Scalar>(
     sf: &StandardForm<S>,
     opts: &SimplexOptions,
     warm: Option<&WarmStart>,
-) -> Result<WarmKernelSolve<S>, SolveError> {
+) -> Result<KernelRun<S>, SolveError> {
     debug_assert_eq!(
         sf.bound_mode, opts.bound_mode,
         "form/options bound-mode mismatch"
     );
     match opts.kernel {
-        Kernel::Dense => DenseTableau.solve_warm(sf, opts, warm),
-        Kernel::SparseRevised => crate::sparse::SparseRevised.solve_warm(sf, opts, warm),
+        // The tableau cannot consume a hint: it solves cold and says so
+        // (the caller still snapshots the final basis, so the sparse
+        // kernel can pick up from it on the next re-solve).
+        Kernel::Dense => Ok(KernelRun {
+            output: crate::simplex::solve(sf, opts)?,
+            outcome: if warm.is_some() {
+                WarmOutcome::ColdFallback
+            } else {
+                WarmOutcome::Cold
+            },
+            mismatch: None,
+        }),
+        Kernel::SparseRevised => crate::sparse::solve_warm(sf, opts, warm),
     }
 }
 

@@ -13,14 +13,14 @@
 //!   sweeps where exactness is not required. `SimplexOptions { pricing,
 //!   .. }` pins Dantzig/Bland/devex explicitly.
 //!
-//! …and over the **pivoting kernel** ([`LpKernel`]):
+//! …on one of two **pivoting kernels** ([`Kernel`]):
 //!
-//! * [`SparseRevised`] — sparse revised simplex (CSC columns, a sparse-LU
-//!   basis with Forrest–Tomlin updates, pricing over nonzeros only); the
-//!   default for **both** scalar backends, built for the >90%-zero
-//!   steady-state LPs at platform scale.
-//! * [`DenseTableau`] — the full two-phase tableau, O(rows·cols) per pivot,
-//!   trivially auditable; the cross-check reference.
+//! * [`Kernel::SparseRevised`] — sparse revised simplex (CSC columns, a
+//!   sparse-LU basis with Forrest–Tomlin updates, pricing over nonzeros
+//!   only); the default for **both** scalar backends, built for the
+//!   >90%-zero steady-state LPs at platform scale.
+//! * [`Kernel::Dense`] — the full two-phase tableau, O(rows·cols) per
+//!   pivot, trivially auditable; the cross-check reference.
 //!
 //! Every choice — kernel, pricing, factorization, bound handling — is a
 //! field of [`SimplexOptions`], a plain value: there is no process-wide
@@ -66,17 +66,17 @@ mod sparse;
 mod standard;
 pub mod warm;
 
-pub use edit::{EditPlan, EditSummary, FormLayout, NewColumn, NewRow};
+pub use edit::{EditPlan, EditSummary, FormLayout};
 pub use factor::{
     BasisFactorization, EtaFile, Factor, FactorStats, RefactorMode, RefactorPolicy, Refactorized,
     SparseLu,
 };
-pub use kernel::{default_kernel, solve_warm_on, DenseTableau, Kernel, LpKernel};
+pub use kernel::{default_kernel, solve_warm_on, Kernel};
 pub use pricing::{Pricing, PricingStats};
 pub use problem::{Cmp, LinExpr, Problem, Sense, Var};
 pub use scalar::Scalar;
-pub use simplex::{OptionsError, SimplexOptions, SimplexOptionsBuilder};
+pub use simplex::SimplexOptions;
 pub use solution::{PivotRule, Solution, SolveError};
-pub use sparse::{CacheAudit, SparseRevised, SparseState};
+pub use sparse::{solve_audited, CacheAudit};
 pub use standard::{lower, lower_with, refresh, BoundMode, KernelOutput, StandardForm};
-pub use warm::{ShapeMismatch, WarmKernelSolve, WarmOutcome, WarmRun, WarmStart};
+pub use warm::{ShapeMismatch, WarmOutcome, WarmRun, WarmStart};

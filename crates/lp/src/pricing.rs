@@ -6,17 +6,17 @@
 //! is spent *pricing* — finding out which nonbasic columns matter. This
 //! module owns the three answers:
 //!
-//! * **Devex reference pricing** ([`Devex`], Forrest–Goldfarb style
+//! * **Devex reference pricing** (`Devex`, Forrest–Goldfarb style
 //!   approximate steepest edge) for the primal engines: entering column is
 //!   the largest `z_j² / w_j` over reference weights `w_j` that start at 1
 //!   and are cheaply updated from each pivot row, so the rule prefers
 //!   columns whose *edge direction* is actually steep rather than whose
 //!   raw reduced cost is large. Weights drift upward as the reference
-//!   framework ages; past [`DEVEX_RESET`] the framework is reset to the
+//!   framework ages; past `DEVEX_RESET` the framework is reset to the
 //!   current basis (all weights back to 1). Weights are plain `f64` even
 //!   under the exact scalar — they only rank candidates, every pivot still
 //!   runs in exact arithmetic.
-//! * **One row-wise pivot-row kernel** ([`PivotRow`]) for *both* sparse
+//! * **One row-wise pivot-row kernel** (`PivotRow`) for *both* sparse
 //!   simplex directions: each pivot row `α = ρᵀA_N` is scattered over ρ's
 //!   support through a row → columns index built once per engine, so its
 //!   cost tracks the nonzeros of the rows the sparse-LU BTRAN actually
@@ -29,7 +29,7 @@
 //!   each pivot as `z_j ← z_j − (z_q/α_q)·α_j` on the touched columns
 //!   only, and reseed from a fresh BTRAN whenever the basis has been
 //!   refactorized since. The primal declares optimality only on a fresh
-//!   sweep (see [`crate::sparse`]); Bland's rule never uses the cache.
+//!   sweep (see `sparse.rs`); Bland's rule never uses the cache.
 //!
 //! The engine-facing choice is the [`Pricing`] enum on
 //! [`SimplexOptions`](crate::SimplexOptions), resolved per scalar by

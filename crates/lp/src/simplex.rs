@@ -1,5 +1,5 @@
 //! Dense two-phase primal simplex, generic over [`Scalar`] — the
-//! [`DenseTableau`] implementation of [`LpKernel`](crate::LpKernel).
+//! [`Kernel::Dense`] engine.
 //!
 //! Pivoting: Bland's rule when the scalar is exact (guaranteed termination —
 //! important because steady-state LPs are heavily degenerate: many activity
@@ -11,11 +11,11 @@
 //! bound, pricing is sign-aware, and bound flips skip the elimination
 //! entirely. The tableau is O(rows·cols) per pivot; for the mostly-zero
 //! LPs the platform sweeps build at scale, prefer the
-//! [`SparseRevised`](crate::sparse::SparseRevised) kernel.
+//! [`Kernel::SparseRevised`] kernel.
 
 use crate::bounded::{choose_leaving, entering_value, improves, shift_basics, Leaving};
 use crate::factor::{Factor, FactorStats, RefactorPolicy};
-use crate::kernel::{DenseTableau, Kernel, LpKernel};
+use crate::kernel::Kernel;
 use crate::pricing::{Devex, Pricing, PricingStats};
 use crate::scalar::Scalar;
 use crate::solution::{PivotRule, SolveError};
@@ -65,106 +65,6 @@ impl SimplexOptions {
         } else {
             self.max_iterations
         }
-    }
-
-    /// Start a validating [`SimplexOptionsBuilder`] from the defaults.
-    /// Prefer this over struct-literal construction: the builder rejects
-    /// out-of-range numeric knobs at build time instead of letting them
-    /// surface as mysterious solve behaviour.
-    pub fn builder() -> SimplexOptionsBuilder {
-        SimplexOptionsBuilder {
-            opts: SimplexOptions::default(),
-        }
-    }
-}
-
-/// A rejected option value, with the reason.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OptionsError(pub String);
-
-impl std::fmt::Display for OptionsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid options: {}", self.0)
-    }
-}
-
-impl std::error::Error for OptionsError {}
-
-/// Validating builder for [`SimplexOptions`] — see
-/// [`SimplexOptions::builder`].
-#[derive(Clone, Debug)]
-pub struct SimplexOptionsBuilder {
-    opts: SimplexOptions,
-}
-
-impl SimplexOptionsBuilder {
-    /// Hard pivot cap (0 = automatic budget).
-    pub fn max_iterations(mut self, n: usize) -> Self {
-        self.opts.max_iterations = n;
-        self
-    }
-
-    /// Entering-variable pricing strategy.
-    pub fn pricing(mut self, pricing: Pricing) -> Self {
-        self.opts.pricing = pricing;
-        self
-    }
-
-    /// Which pivoting engine runs the solve.
-    pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.opts.kernel = kernel;
-        self
-    }
-
-    /// How variable upper bounds reach the kernel.
-    pub fn bound_mode(mut self, bound_mode: BoundMode) -> Self {
-        self.opts.bound_mode = bound_mode;
-        self
-    }
-
-    /// Basis-factorization backend for the sparse kernel.
-    pub fn factor(mut self, factor: Factor) -> Self {
-        self.opts.factor = factor;
-        self
-    }
-
-    /// Full refactorization policy (validated at [`build`](Self::build)).
-    pub fn refactor(mut self, refactor: RefactorPolicy) -> Self {
-        self.opts.refactor = refactor;
-        self
-    }
-
-    /// Threshold-pivoting tolerance of the factorization
-    /// ([`RefactorPolicy::pivot_tol`]); must lie strictly inside `(0, 1)`.
-    pub fn pivot_tol(mut self, tol: f64) -> Self {
-        self.opts.refactor.pivot_tol = tol;
-        self
-    }
-
-    /// Forrest–Tomlin update cap before refactorizing; must be ≥ 1.
-    pub fn max_updates(mut self, n: usize) -> Self {
-        self.opts.refactor.max_updates = n;
-        self
-    }
-
-    /// Validate and produce the options.
-    pub fn build(self) -> Result<SimplexOptions, OptionsError> {
-        let tol = self.opts.refactor.pivot_tol;
-        if !(tol > 0.0 && tol < 1.0) {
-            return Err(OptionsError(format!(
-                "pivot_tol must lie in (0, 1), got {tol}"
-            )));
-        }
-        if self.opts.refactor.max_updates == 0 {
-            return Err(OptionsError("max_updates must be >= 1".into()));
-        }
-        if self.opts.refactor.max_fill_growth <= 1.0 {
-            return Err(OptionsError(format!(
-                "max_fill_growth must exceed 1, got {}",
-                self.opts.refactor.max_fill_growth
-            )));
-        }
-        Ok(self.opts)
     }
 }
 
@@ -379,167 +279,165 @@ fn optimize<S: Scalar>(
     }
 }
 
-impl<S: Scalar> LpKernel<S> for DenseTableau {
-    fn solve(
-        &self,
-        sf: &StandardForm<S>,
-        opts: &SimplexOptions,
-    ) -> Result<KernelOutput<S>, SolveError> {
-        let m = sf.m;
-        let ncols = sf.ncols;
-        let art_start = sf.art_start;
+/// The dense two-phase solve of a lowered system.
+pub(crate) fn solve<S: Scalar>(
+    sf: &StandardForm<S>,
+    opts: &SimplexOptions,
+) -> Result<KernelOutput<S>, SolveError> {
+    let m = sf.m;
+    let ncols = sf.ncols;
+    let art_start = sf.art_start;
 
-        // Scatter the CSC columns into dense rows; basic values start as
-        // the rhs (every nonbasic variable starts at its lower bound 0).
-        let mut t = Tableau {
-            a: vec![vec![S::zero(); ncols]; m],
-            ncols,
-            basis: sf.basis0.clone(),
-            x: sf.rhs.clone(),
-            at_upper: vec![false; ncols],
-            upper: sf.upper.clone(),
-        };
-        for j in 0..ncols {
-            let (rows, vals) = sf.column(j);
-            for (i, v) in rows.iter().zip(vals) {
-                t.a[*i][j] = v.clone();
-            }
+    // Scatter the CSC columns into dense rows; basic values start as
+    // the rhs (every nonbasic variable starts at its lower bound 0).
+    let mut t = Tableau {
+        a: vec![vec![S::zero(); ncols]; m],
+        ncols,
+        basis: sf.basis0.clone(),
+        x: sf.rhs.clone(),
+        at_upper: vec![false; ncols],
+        upper: sf.upper.clone(),
+    };
+    for j in 0..ncols {
+        let (rows, vals) = sf.column(j);
+        for (i, v) in rows.iter().zip(vals) {
+            t.a[*i][j] = v.clone();
         }
+    }
 
-        let mut budget = opts.budget(m, ncols);
-        let mut total_iters = 0usize;
-        let mut phase1_iters = 0usize;
-        let rule = opts.pricing.resolve::<S>();
-        let mut stats = PricingStats::default();
+    let mut budget = opts.budget(m, ncols);
+    let mut total_iters = 0usize;
+    let mut phase1_iters = 0usize;
+    let rule = opts.pricing.resolve::<S>();
+    let mut stats = PricingStats::default();
 
-        // Phase 1: drive artificials to zero (maximize -sum of artificials).
-        if sf.num_artificials() > 0 {
-            let mut costs_full = vec![S::zero(); ncols];
-            for c in costs_full.iter_mut().skip(art_start) {
-                *c = S::one().neg();
-            }
-            // `cost` starts as a copy of the pristine costs; price_out
-            // mutates it against the basic rows while reading the original.
-            let mut cost = costs_full.clone();
-            price_out(&t, &mut cost, &costs_full);
-            let active = vec![true; ncols];
-            let it = optimize(&mut t, &mut cost, &active, rule, &mut budget, &mut stats)?;
-            phase1_iters = it;
-            total_iters += it;
-            budget = budget.saturating_sub(it);
-            if budget == 0 {
-                return Err(SolveError::IterationLimit);
-            }
-            // Phase-1 objective value: sum of artificial basic values.
-            let mut art_sum = S::zero();
-            for (i, &b) in t.basis.iter().enumerate() {
-                if b >= art_start {
-                    art_sum = art_sum.add(&t.x[i]);
-                }
-            }
-            if !art_sum.is_zero() {
-                return Err(SolveError::Infeasible);
-            }
-            // Snap lingering zero-level artificials to exact zero and pin
-            // every artificial to u = 0: phase 2's ratio test then blocks
-            // any step that would lift one, as an ordinary upper-bound
-            // candidate with zero headroom. Then pivot zero-level basics
-            // out where a real at-lower column is available (a degenerate
-            // basis change: no value moves).
-            for (i, &b) in t.basis.iter().enumerate() {
-                if b >= art_start {
-                    t.x[i] = S::zero();
-                }
-            }
-            for u in t.upper.iter_mut().skip(art_start) {
-                *u = Some(S::zero());
-            }
-            let mut drop_rows: Vec<usize> = Vec::new();
-            for i in 0..t.a.len() {
-                if t.basis[i] < art_start {
-                    continue;
-                }
-                // An at-upper column cannot enter at value 0, so only
-                // at-lower columns qualify for the degenerate swap.
-                let col = (0..art_start).find(|&j| !t.a[i][j].is_zero() && !t.at_upper[j]);
-                match col {
-                    Some(j) => {
-                        let mut dummy_cost = vec![S::zero(); ncols];
-                        t.eliminate(i, j, &mut dummy_cost);
-                        t.x[i] = S::zero();
-                    }
-                    // Entire row zero over enterable columns: either the
-                    // constraint is redundant (all-zero row: drop it) or
-                    // the pinned artificial stays basic at level zero,
-                    // protected through phase 2 by its u = 0 bound.
-                    None => {
-                        if (0..art_start).all(|j| t.a[i][j].is_zero()) {
-                            drop_rows.push(i);
-                        }
-                    }
-                }
-            }
-            for &i in drop_rows.iter().rev() {
-                t.a.remove(i);
-                t.basis.remove(i);
-                t.x.remove(i);
-            }
+    // Phase 1: drive artificials to zero (maximize -sum of artificials).
+    if sf.num_artificials() > 0 {
+        let mut costs_full = vec![S::zero(); ncols];
+        for c in costs_full.iter_mut().skip(art_start) {
+            *c = S::one().neg();
         }
-
-        // Phase 2: original objective over structural + slack columns only.
-        let costs_full: Vec<S> = sf.cost2.clone();
+        // `cost` starts as a copy of the pristine costs; price_out
+        // mutates it against the basic rows while reading the original.
         let mut cost = costs_full.clone();
         price_out(&t, &mut cost, &costs_full);
-        // Nonbasic-at-upper columns contribute to the initial reduced
-        // costs only through the basic rows, which price_out already
-        // covers — reduced costs are independent of where nonbasics rest.
-        let mut active = vec![true; ncols];
-        for a in active.iter_mut().take(ncols).skip(art_start) {
-            *a = false; // artificials may never re-enter
-        }
+        let active = vec![true; ncols];
         let it = optimize(&mut t, &mut cost, &active, rule, &mut budget, &mut stats)?;
+        phase1_iters = it;
         total_iters += it;
-
-        // Extract the structural solution: at-upper nonbasics sit at their
-        // bound, basic variables at their tableau value.
-        let mut values = vec![S::zero(); sf.nstruct];
-        for (j, v) in values.iter_mut().enumerate() {
-            if t.at_upper[j] {
-                *v = sf.upper[j].clone().expect("at_upper implies a bound");
-            }
+        budget = budget.saturating_sub(it);
+        if budget == 0 {
+            return Err(SolveError::IterationLimit);
         }
+        // Phase-1 objective value: sum of artificial basic values.
+        let mut art_sum = S::zero();
         for (i, &b) in t.basis.iter().enumerate() {
-            if b < sf.nstruct {
-                values[b] = t.x[i].clone();
+            if b >= art_start {
+                art_sum = art_sum.add(&t.x[i]);
             }
         }
-
-        // Each witness column's final reduced cost is `-y_i` for the
-        // normalized maximize system.
-        let reduced_witness = sf.witness.iter().map(|&w| cost[w].clone()).collect();
-        // Active bounds get their multiplier from the column's own final
-        // reduced cost (`μ_j = z_j ≥ 0` at optimality for at-upper columns).
-        let bound_mults = (0..sf.nstruct)
-            .map(|j| {
-                if t.at_upper[j] {
-                    cost[j].clone()
-                } else {
-                    S::zero()
+        if !art_sum.is_zero() {
+            return Err(SolveError::Infeasible);
+        }
+        // Snap lingering zero-level artificials to exact zero and pin
+        // every artificial to u = 0: phase 2's ratio test then blocks
+        // any step that would lift one, as an ordinary upper-bound
+        // candidate with zero headroom. Then pivot zero-level basics
+        // out where a real at-lower column is available (a degenerate
+        // basis change: no value moves).
+        for (i, &b) in t.basis.iter().enumerate() {
+            if b >= art_start {
+                t.x[i] = S::zero();
+            }
+        }
+        for u in t.upper.iter_mut().skip(art_start) {
+            *u = Some(S::zero());
+        }
+        let mut drop_rows: Vec<usize> = Vec::new();
+        for i in 0..t.a.len() {
+            if t.basis[i] < art_start {
+                continue;
+            }
+            // An at-upper column cannot enter at value 0, so only
+            // at-lower columns qualify for the degenerate swap.
+            let col = (0..art_start).find(|&j| !t.a[i][j].is_zero() && !t.at_upper[j]);
+            match col {
+                Some(j) => {
+                    let mut dummy_cost = vec![S::zero(); ncols];
+                    t.eliminate(i, j, &mut dummy_cost);
+                    t.x[i] = S::zero();
                 }
-            })
-            .collect();
-
-        Ok(KernelOutput {
-            values,
-            reduced_witness,
-            bound_mults,
-            iterations: total_iters,
-            phase1_iterations: phase1_iters,
-            pivot_rule: rule,
-            pricing: stats,
-            factor: FactorStats::default(),
-            basis: t.basis,
-            at_upper: t.at_upper,
-        })
+                // Entire row zero over enterable columns: either the
+                // constraint is redundant (all-zero row: drop it) or
+                // the pinned artificial stays basic at level zero,
+                // protected through phase 2 by its u = 0 bound.
+                None => {
+                    if (0..art_start).all(|j| t.a[i][j].is_zero()) {
+                        drop_rows.push(i);
+                    }
+                }
+            }
+        }
+        for &i in drop_rows.iter().rev() {
+            t.a.remove(i);
+            t.basis.remove(i);
+            t.x.remove(i);
+        }
     }
+
+    // Phase 2: original objective over structural + slack columns only.
+    let costs_full: Vec<S> = sf.cost2.clone();
+    let mut cost = costs_full.clone();
+    price_out(&t, &mut cost, &costs_full);
+    // Nonbasic-at-upper columns contribute to the initial reduced
+    // costs only through the basic rows, which price_out already
+    // covers — reduced costs are independent of where nonbasics rest.
+    let mut active = vec![true; ncols];
+    for a in active.iter_mut().take(ncols).skip(art_start) {
+        *a = false; // artificials may never re-enter
+    }
+    let it = optimize(&mut t, &mut cost, &active, rule, &mut budget, &mut stats)?;
+    total_iters += it;
+
+    // Extract the structural solution: at-upper nonbasics sit at their
+    // bound, basic variables at their tableau value.
+    let mut values = vec![S::zero(); sf.nstruct];
+    for (j, v) in values.iter_mut().enumerate() {
+        if t.at_upper[j] {
+            *v = sf.upper[j].clone().expect("at_upper implies a bound");
+        }
+    }
+    for (i, &b) in t.basis.iter().enumerate() {
+        if b < sf.nstruct {
+            values[b] = t.x[i].clone();
+        }
+    }
+
+    // Each witness column's final reduced cost is `-y_i` for the
+    // normalized maximize system.
+    let reduced_witness = sf.witness.iter().map(|&w| cost[w].clone()).collect();
+    // Active bounds get their multiplier from the column's own final
+    // reduced cost (`μ_j = z_j ≥ 0` at optimality for at-upper columns).
+    let bound_mults = (0..sf.nstruct)
+        .map(|j| {
+            if t.at_upper[j] {
+                cost[j].clone()
+            } else {
+                S::zero()
+            }
+        })
+        .collect();
+
+    Ok(KernelOutput {
+        values,
+        reduced_witness,
+        bound_mults,
+        iterations: total_iters,
+        phase1_iterations: phase1_iters,
+        pivot_rule: rule,
+        pricing: stats,
+        factor: FactorStats::default(),
+        basis: t.basis,
+        at_upper: t.at_upper,
+    })
 }

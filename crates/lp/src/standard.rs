@@ -1,5 +1,5 @@
 //! Shared standard-form lowering: one [`Problem`] → one [`StandardForm`],
-//! consumed by every [`LpKernel`](crate::LpKernel).
+//! consumed by every [`Kernel`](crate::Kernel).
 //!
 //! The lowering is the part of a simplex solve that is independent of the
 //! pivoting engine: flip negative right-hand sides, append slack/surplus

@@ -14,7 +14,7 @@
 //! its statuses to an exact `Ratio` re-certification solve).
 //!
 //! The five-state machine of a warm solve
-//! ([`LpKernel::solve_warm`](crate::LpKernel::solve_warm)):
+//! ([`solve_warm_on`](crate::solve_warm_on)):
 //!
 //! ```text
 //! no hint ──────────────────────────────▶ Cold          (two-phase solve)
@@ -52,7 +52,7 @@ use crate::scalar::Scalar;
 use crate::solution::Solution;
 use crate::standard::{KernelOutput, StandardForm};
 
-/// How a [`solve_warm`](crate::LpKernel::solve_warm) run actually started.
+/// How a [`solve_warm_on`](crate::solve_warm_on) run actually started.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WarmOutcome {
     /// No warm hint was supplied: ordinary two-phase cold solve.
@@ -99,8 +99,8 @@ impl std::fmt::Display for WarmOutcome {
 /// Why a [`WarmStart`] cannot seed a given [`StandardForm`]: the snapshot
 /// was captured from a form of a different shape.
 ///
-/// Carried on [`WarmKernelSolve`]/[`WarmRun`] (and from there into the
-/// session telemetry) so an online fallback is *explainable* — "the
+/// Carried on [`WarmRun`] (and from there into the session telemetry)
+/// so an online fallback is *explainable* — "the
 /// snapshot is 12×40 but the form is 13×43" — instead of a bare
 /// [`WarmOutcome::ColdFallback`]. Shape changes that preserve the row and
 /// column counts but move the artificial block, or a snapshot whose basis
@@ -264,22 +264,6 @@ impl<'de> serde::Deserialize<'de> for WarmStart {
     }
 }
 
-/// What [`LpKernel::solve_warm`](crate::LpKernel::solve_warm) hands back:
-/// the ordinary kernel output plus how the solve started.
-#[derive(Clone, Debug)]
-pub struct WarmKernelSolve<S> {
-    /// The kernel's output, identical in shape to a cold
-    /// [`solve`](crate::LpKernel::solve).
-    pub output: KernelOutput<S>,
-    /// How the solve started (see [`WarmOutcome`]).
-    pub outcome: WarmOutcome,
-    /// When the outcome is [`WarmOutcome::ColdFallback`] because the hint
-    /// was captured from a differently shaped form: the typed diagnosis.
-    /// `None` on every other path (including fallbacks for singular or
-    /// budget-stalled hints, which are numeric, not shape, failures).
-    pub mismatch: Option<ShapeMismatch>,
-}
-
 /// A completed warm-capable solve at the [`Problem`](crate::Problem)
 /// level: the assembled solution, the outcome telemetry, and the snapshot
 /// that seeds the *next* solve.
@@ -291,8 +275,10 @@ pub struct WarmRun<S> {
     pub outcome: WarmOutcome,
     /// Snapshot of the final basis, ready to seed the next re-solve.
     pub warm: WarmStart,
-    /// Shape diagnosis when a supplied hint was rejected for its shape
-    /// (see [`WarmKernelSolve::mismatch`]).
+    /// When the outcome is [`WarmOutcome::ColdFallback`] because the hint
+    /// was captured from a differently shaped form: the typed diagnosis.
+    /// `None` on every other path (including fallbacks for singular or
+    /// budget-stalled hints, which are numeric, not shape, failures).
     pub mismatch: Option<ShapeMismatch>,
     /// Wall-clock spent *capturing* [`WarmRun::warm`] (basis + status
     /// copy), in milliseconds. Reported separately so warm-vs-cold time

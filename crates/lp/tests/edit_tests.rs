@@ -1,180 +1,160 @@
-//! Shape edits on a lowered form with basis migration: agreement with
-//! fresh lowerings, warm solves across column/row add/remove, the
-//! removed-basic-column repair path, and name-keyed layout diffing.
+//! Basis migration across LP shape changes: name-keyed layout diffing
+//! between rebuilt problems, warm solves across column/row add/remove, the
+//! removed-basic-column repair path, and the mismatch diagnosis.
 
-use ss_lp::edit::{NewColumn, NewRow};
 use ss_lp::{
-    lower, Cmp, FormLayout, LpKernel, Problem, Scalar, Sense, SimplexOptions, SparseRevised,
-    WarmStart,
+    lower, solve_warm_on, Cmp, EditSummary, FormLayout, Problem, Scalar, Sense, SimplexOptions,
+    StandardForm, WarmRun, WarmStart,
 };
 use ss_num::Ratio;
 
+/// maximize 3x + 2y + 5z  s.t.  x + y + z ≤ 6 (`cap`),  y ≥ 1 (`floor`),
+/// 0 ≤ x ≤ 4,  0 ≤ z ≤ 2 — over y and whichever of x, z `vars` names,
+/// plus the row z ≤ 2 (`zcap`) on request.
+fn problem(vars: &str, zcap: bool) -> Problem {
+    let mut p = Problem::new(Sense::Maximize);
+    let mut cap = Vec::new();
+    if vars.contains('x') {
+        let x = p.add_var_bounded("x", Ratio::from_int(4));
+        p.set_objective_coeff(x, Ratio::from_int(3));
+        cap.push((x, Ratio::one()));
+    }
+    let y = p.add_var("y");
+    p.set_objective_coeff(y, Ratio::from_int(2));
+    cap.push((y, Ratio::one()));
+    let z = vars.contains('z').then(|| {
+        let z = p.add_var_bounded("z", Ratio::from_int(2));
+        p.set_objective_coeff(z, Ratio::from_int(5));
+        cap.push((z, Ratio::one()));
+        z
+    });
+    p.add_constraint("cap", cap, Cmp::Le, Ratio::from_int(6));
+    p.add_constraint("floor", [(y, Ratio::one())], Cmp::Ge, Ratio::from_int(1));
+    if zcap {
+        let z = z.expect("zcap constrains z");
+        p.add_constraint("zcap", [(z, Ratio::one())], Cmp::Le, Ratio::from_int(2));
+    }
+    p
+}
+
 /// maximize 3x + 2y  s.t.  x + y ≤ 6,  y ≥ 1,  0 ≤ x ≤ 4.
 fn base_problem() -> Problem {
-    let mut p = Problem::new(Sense::Maximize);
-    let x = p.add_var_bounded("x", Ratio::from_int(4));
-    let y = p.add_var("y");
-    p.set_objective_coeff(x, Ratio::from_int(3));
-    p.set_objective_coeff(y, Ratio::from_int(2));
-    p.add_constraint(
-        "cap",
-        [(x, Ratio::one()), (y, Ratio::one())],
-        Cmp::Le,
-        Ratio::from_int(6),
-    );
-    p.add_constraint("floor", [(y, Ratio::one())], Cmp::Ge, Ratio::from_int(1));
-    p
+    problem("xy", false)
 }
 
 /// `base_problem` plus a third variable z in the capacity row and a
 /// capacity row of its own.
 fn extended_problem() -> Problem {
-    let mut p = Problem::new(Sense::Maximize);
-    let x = p.add_var_bounded("x", Ratio::from_int(4));
-    let y = p.add_var("y");
-    let z = p.add_var_bounded("z", Ratio::from_int(2));
-    p.set_objective_coeff(x, Ratio::from_int(3));
-    p.set_objective_coeff(y, Ratio::from_int(2));
-    p.set_objective_coeff(z, Ratio::from_int(5));
-    p.add_constraint(
-        "cap",
-        [(x, Ratio::one()), (y, Ratio::one()), (z, Ratio::one())],
-        Cmp::Le,
-        Ratio::from_int(6),
-    );
-    p.add_constraint("floor", [(y, Ratio::one())], Cmp::Ge, Ratio::from_int(1));
-    p.add_constraint("zcap", [(z, Ratio::one())], Cmp::Le, Ratio::from_int(2));
-    p
+    problem("xyz", true)
 }
 
-fn objective<S: Scalar>(sf: &ss_lp::StandardForm<S>, values: &[S]) -> S {
-    let mut obj = S::zero();
-    for (c, v) in sf.cost2.iter().zip(values) {
-        obj = obj.add(&c.mul(v));
+/// A problem, its lowering and the lowering's name-keyed fingerprint —
+/// what the session layer holds per re-plan.
+struct Lowered<S> {
+    problem: Problem,
+    sf: StandardForm<S>,
+    layout: FormLayout,
+}
+
+impl<S: Scalar> Lowered<S> {
+    fn new(problem: Problem) -> Self {
+        let sf = lower::<S>(&problem);
+        let layout = FormLayout::capture(&problem, &sf).expect("native form captures");
+        Lowered {
+            problem,
+            sf,
+            layout,
+        }
     }
-    obj
-}
 
-fn solve_and_snapshot<S: Scalar>(
-    sf: &ss_lp::StandardForm<S>,
-) -> (ss_lp::KernelOutput<S>, WarmStart) {
-    let out = SparseRevised.solve(sf, &SimplexOptions::default()).unwrap();
-    let ws = WarmStart::from_output(sf, &out);
-    (out, ws)
+    fn solve(&self, warm: Option<&WarmStart>) -> WarmRun<S> {
+        solve_warm_on(&self.problem, &self.sf, &SimplexOptions::default(), warm).unwrap()
+    }
+
+    /// Carry `warm` (a snapshot of `self`) onto the rebuilt `new`.
+    fn migrate_to(&self, new: &Lowered<S>, warm: &WarmStart) -> (WarmStart, EditSummary) {
+        self.layout.plan_to(&new.layout).migrate(warm)
+    }
 }
 
 #[test]
 fn add_column_then_row_stays_warm_and_agrees() {
-    let mut sf = lower::<Ratio>(&base_problem());
-    let (_, warm) = solve_and_snapshot(&sf);
+    let old = Lowered::<Ratio>::new(base_problem());
+    let warm = old.solve(None).warm;
 
     // Arrive: a new variable z (cap row coefficient 1, cost 5) plus its
-    // own capacity row — the column-then-row edit an arrival produces.
-    let plan = sf.add_columns(&[NewColumn {
-        entries: vec![(0, Ratio::one())],
-        cost: Ratio::from_int(5),
-        upper: Some(Ratio::from_int(2)),
-    }]);
-    let (warm, summary) = plan.migrate(&warm);
+    // own capacity row — the column-then-row change an arrival produces.
+    let mid = Lowered::<Ratio>::new(problem("xyz", false));
+    let (warm, summary) = old.migrate_to(&mid, &warm);
     assert_eq!(summary.dropped_basic, 0);
-    let plan = sf.add_rows(&[NewRow {
-        coeffs: vec![(2, Ratio::one())],
-        cmp: Cmp::Le,
-        rhs: Ratio::from_int(2),
-    }]);
-    let (warm, summary) = plan.migrate(&warm);
+    let new = Lowered::<Ratio>::new(extended_problem());
+    let (warm, summary) = mid.migrate_to(&new, &warm);
     assert_eq!(summary.dropped_basic, 0);
-    assert!(warm.shape_matches(&sf));
+    assert!(warm.shape_matches(&new.sf));
 
-    // The edited form is exactly the lowering of the extended problem.
-    let fresh = lower::<Ratio>(&extended_problem());
-    assert_eq!(sf.vals, fresh.vals);
-    assert_eq!(sf.rhs, fresh.rhs);
-    assert_eq!(sf.cost2, fresh.cost2);
-    assert_eq!(sf.basis0, fresh.basis0);
-
-    let ws = SparseRevised
-        .solve_warm(&sf, &SimplexOptions::default(), Some(&warm))
-        .unwrap();
+    let run = new.solve(Some(&warm));
     assert!(
-        ws.outcome.used_warm_basis(),
+        run.outcome.used_warm_basis(),
         "migrated basis fell back cold: {:?} ({:?})",
-        ws.outcome,
-        ws.mismatch
+        run.outcome,
+        run.mismatch
     );
-    let cold = SparseRevised
-        .solve(&fresh, &SimplexOptions::default())
-        .unwrap();
     assert_eq!(
-        objective(&sf, &ws.output.values),
-        objective(&fresh, &cold.values)
+        run.solution.objective(),
+        new.solve(None).solution.objective()
     );
 }
 
 #[test]
 fn removing_a_basic_column_repairs_instead_of_cold() {
-    let mut sf = lower::<Ratio>(&extended_problem());
-    let (out, warm) = solve_and_snapshot(&sf);
+    let old = Lowered::<Ratio>::new(extended_problem());
+    let warm = old.solve(None).warm;
     // At this data the optimum is x = 3, y = 1, z = 2: x sits strictly
     // inside its box, so it must be basic — removing it is the
     // interesting departed-while-basic case (and the reduced problem
     // stays feasible, unlike removing y from under `floor`).
     let victim = 0usize;
     assert!(
-        out.basis.contains(&victim),
+        warm.basis().contains(&victim),
         "x should be basic at the optimum, basis = {:?}",
-        out.basis
+        warm.basis()
     );
 
-    let plan = sf.remove_columns(&[victim]);
-    let (warm, summary) = plan.migrate(&warm);
+    let new = Lowered::<Ratio>::new(problem("yz", true));
+    let (warm, summary) = old.migrate_to(&new, &warm);
     assert_eq!(summary.dropped_basic, 1);
-    assert!(warm.shape_matches(&sf));
+    assert!(warm.shape_matches(&new.sf));
 
     // Departures leave a short basis: the warm path completes the
     // unclaimed row from basis0 and repairs — never a cold fallback.
-    let ws = SparseRevised
-        .solve_warm(&sf, &SimplexOptions::default(), Some(&warm))
-        .unwrap();
+    let run = new.solve(Some(&warm));
     assert!(
-        ws.outcome.used_warm_basis(),
+        run.outcome.used_warm_basis(),
         "dropped-basic migration fell back cold: {:?}",
-        ws.outcome
+        run.outcome
     );
 
-    // Agreement with a cold solve of the same edited system.
-    let cold = SparseRevised
-        .solve(&sf, &SimplexOptions::default())
-        .unwrap();
+    // Agreement with a cold solve of the same rebuilt system.
     assert_eq!(
-        objective(&sf, &ws.output.values),
-        objective(&sf, &cold.values)
+        run.solution.objective(),
+        new.solve(None).solution.objective()
     );
 }
 
 #[test]
 fn remove_row_then_solve_agrees_f64() {
-    let mut sf = lower::<f64>(&extended_problem());
-    let (_, warm) = solve_and_snapshot(&sf);
-    // Depart: drop the z capacity row (row 2) and the z column together.
-    let plan = sf.remove_rows(&[2]);
-    let (warm, _) = plan.migrate(&warm);
-    let plan = sf.remove_columns(&[2]);
-    let (warm, _) = plan.migrate(&warm);
-    assert!(warm.shape_matches(&sf));
+    let old = Lowered::<f64>::new(extended_problem());
+    let warm = old.solve(None).warm;
+    // Depart: drop the z capacity row, then the z column.
+    let mid = Lowered::<f64>::new(problem("xyz", false));
+    let (warm, _) = old.migrate_to(&mid, &warm);
+    let new = Lowered::<f64>::new(base_problem());
+    let (warm, _) = mid.migrate_to(&new, &warm);
+    assert!(warm.shape_matches(&new.sf));
 
-    let fresh = lower::<f64>(&base_problem());
-    assert_eq!(sf.vals, fresh.vals);
-    assert_eq!(sf.cost2, fresh.cost2);
-
-    let ws = SparseRevised
-        .solve_warm(&sf, &SimplexOptions::default(), Some(&warm))
-        .unwrap();
-    assert!(ws.outcome.used_warm_basis(), "{:?}", ws.outcome);
-    let cold = SparseRevised
-        .solve(&fresh, &SimplexOptions::default())
-        .unwrap();
-    let diff = objective(&sf, &ws.output.values) - objective(&fresh, &cold.values);
+    let run = new.solve(Some(&warm));
+    assert!(run.outcome.used_warm_basis(), "{:?}", run.outcome);
+    let diff = run.solution.objective() - new.solve(None).solution.objective();
     assert!(diff.abs() < 1e-9, "objectives diverge by {diff}");
 }
 
@@ -182,63 +162,36 @@ fn remove_row_then_solve_agrees_f64() {
 fn layout_diff_migrates_across_rebuilt_problem() {
     // The session-layer path: the problem is *rebuilt* (new var order, new
     // rows) and the two lowerings are matched purely by name.
-    let p1 = base_problem();
-    let sf1 = lower::<Ratio>(&p1);
-    let (_, warm) = solve_and_snapshot(&sf1);
-    let l1 = FormLayout::capture(&p1, &sf1).unwrap();
+    let old = Lowered::<Ratio>::new(base_problem());
+    let warm = old.solve(None).warm;
+    let new = Lowered::<Ratio>::new(extended_problem());
 
-    let p2 = extended_problem();
-    let sf2 = lower::<Ratio>(&p2);
-    let l2 = FormLayout::capture(&p2, &sf2).unwrap();
-
-    let plan = l1.plan_to(&l2);
-    let (warm, summary) = plan.migrate(&warm);
-    assert!(warm.shape_matches(&sf2));
+    let (warm, summary) = old.migrate_to(&new, &warm);
+    assert!(warm.shape_matches(&new.sf));
     assert_eq!(summary.removed_cols, 0);
     assert!(summary.added_cols > 0);
 
-    let ws = SparseRevised
-        .solve_warm(&sf2, &SimplexOptions::default(), Some(&warm))
-        .unwrap();
-    assert!(ws.outcome.used_warm_basis(), "{:?}", ws.outcome);
-    let cold = SparseRevised
-        .solve(&sf2, &SimplexOptions::default())
-        .unwrap();
+    let run = new.solve(Some(&warm));
+    assert!(run.outcome.used_warm_basis(), "{:?}", run.outcome);
     assert_eq!(
-        objective(&sf2, &ws.output.values),
-        objective(&sf2, &cold.values)
+        run.solution.objective(),
+        new.solve(None).solution.objective()
     );
 }
 
 #[test]
 fn mismatch_diagnosis_reaches_the_warm_result() {
-    let sf1 = lower::<Ratio>(&base_problem());
-    let (_, warm) = solve_and_snapshot(&sf1);
-    let sf2 = lower::<Ratio>(&extended_problem());
+    let old = Lowered::<Ratio>::new(base_problem());
+    let warm = old.solve(None).warm;
+    let new = Lowered::<Ratio>::new(extended_problem());
     // Un-migrated snapshot against the grown form: explainable fallback.
-    let mm = warm.shape_mismatch(&sf2).expect("shapes differ");
-    assert_eq!(mm.expected, (sf2.m, sf2.ncols));
-    assert_eq!(mm.rows, sf1.m);
-    assert_eq!(mm.cols, sf1.ncols);
+    let mm = warm.shape_mismatch(&new.sf).expect("shapes differ");
+    assert_eq!(mm.expected, (new.sf.m, new.sf.ncols));
+    assert_eq!(mm.rows, old.sf.m);
+    assert_eq!(mm.cols, old.sf.ncols);
     assert!(mm.to_string().contains("cannot seed"));
 
-    let ws = SparseRevised
-        .solve_warm(&sf2, &SimplexOptions::default(), Some(&warm))
-        .unwrap();
-    assert_eq!(ws.outcome, ss_lp::WarmOutcome::ColdFallback);
-    assert_eq!(ws.mismatch, Some(mm));
-}
-
-#[test]
-fn options_builder_validates() {
-    let opts = SimplexOptions::builder()
-        .pivot_tol(0.5)
-        .max_updates(8)
-        .build()
-        .unwrap();
-    assert_eq!(opts.refactor.pivot_tol, 0.5);
-    assert_eq!(opts.refactor.max_updates, 8);
-    assert!(SimplexOptions::builder().pivot_tol(0.0).build().is_err());
-    assert!(SimplexOptions::builder().pivot_tol(1.0).build().is_err());
-    assert!(SimplexOptions::builder().max_updates(0).build().is_err());
+    let run = new.solve(Some(&warm));
+    assert_eq!(run.outcome, ss_lp::WarmOutcome::ColdFallback);
+    assert_eq!(run.mismatch, Some(mm));
 }

@@ -10,8 +10,8 @@
 
 use proptest::prelude::*;
 use ss_lp::{
-    lower, BoundMode, CacheAudit, Cmp, Factor, Kernel, KernelOutput, PivotRule, Pricing, Problem,
-    RefactorPolicy, Scalar, Sense, SimplexOptions, Solution, SparseRevised,
+    lower, solve_audited, BoundMode, CacheAudit, Cmp, Factor, Kernel, KernelOutput, PivotRule,
+    Pricing, Problem, RefactorPolicy, Scalar, Sense, SimplexOptions, Solution,
 };
 use ss_num::Ratio;
 
@@ -205,7 +205,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 // The maintained reduced-cost cache: devex and Dantzig on the sparse
 // kernel select from `z` carried across pivots by one pivot row each, and
-// `SparseRevised::solve_audited` re-derives every entry from scratch
+// `ss_lp::solve_audited` re-derives every entry from scratch
 // after every primal step.
 // ---------------------------------------------------------------------------
 
@@ -249,9 +249,7 @@ fn audited<S: Scalar>(
         refactor,
         ..opts(pricing, Kernel::SparseRevised)
     };
-    SparseRevised
-        .solve_audited(&lower::<S>(p), &o)
-        .expect("feasible and bounded by construction")
+    solve_audited(&lower::<S>(p), &o).expect("feasible and bounded by construction")
 }
 
 /// Refactorize every other pivot: the cache is reseeded mid-solve, often.

@@ -28,8 +28,9 @@
 //!   batches (`ServiceConfig::batch`) instead of parking on a blocking
 //!   `recv` per request. Queued parameter updates for the *same tenant*
 //!   are **coalesced** at enqueue time (latest drift wins, all callers
-//!   share one re-plan) — sound because a [`ParamScale`] is absolute
-//!   relative to the registered base platform.
+//!   share one re-plan) — sound because a
+//!   [`ParamScale`](ss_core::ParamScale) is absolute relative to the
+//!   registered base platform.
 //! * **Deadlines** — with `ServiceConfig::deadline_ms` set, a tenant
 //!   whose recent solves (EWMA) exceed the deadline is served its **last
 //!   good plan immediately** (`Replan::stale == true`) and the re-solve
@@ -85,9 +86,6 @@ pub struct ServiceConfig {
     /// all coalesced callers share one re-plan). On by default; the
     /// `service-scale` benchmark's unbatched baseline turns it off.
     pub coalesce: bool,
-    /// Let each tenant session reuse its cached symbolic CSC lowering
-    /// across re-plans (numeric refresh only). On by default.
-    pub reuse_lowering: bool,
     /// Per-tenant solve deadline: when the tenant's recent solve time
     /// (EWMA) exceeds this, an update is answered with the last good
     /// plan immediately (`Replan::stale`) and the solve completes after
@@ -109,7 +107,6 @@ impl Default for ServiceConfig {
             workers: 2,
             batch: 16,
             coalesce: true,
-            reuse_lowering: true,
             deadline_ms: None,
             max_resident: 0,
             persist_dir: None,
@@ -163,12 +160,6 @@ impl ServiceConfigBuilder {
     /// Coalesce queued updates per tenant.
     pub fn coalesce(mut self, on: bool) -> Self {
         self.cfg.coalesce = on;
-        self
-    }
-
-    /// Reuse each session's cached symbolic lowering.
-    pub fn reuse_lowering(mut self, on: bool) -> Self {
-        self.cfg.reuse_lowering = on;
         self
     }
 
@@ -363,7 +354,6 @@ impl Service {
             let wq = Arc::clone(&q);
             let cfg = worker::WorkerConfig {
                 batch: config.batch.max(1),
-                reuse_lowering: config.reuse_lowering,
                 deadline_ms: config.deadline_ms,
                 max_resident: config.max_resident,
                 persist_dir: config.persist_dir.clone(),

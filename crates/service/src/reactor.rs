@@ -4,7 +4,7 @@
 //! it (1) accepts new connections, (2) reads whatever bytes are ready,
 //! feeding them through a [`FrameBuf`] and dispatching complete request
 //! frames onto the shard queues with a socket-path replier, (3) drains
-//! finished [`Completion`]s from the workers into per-connection write
+//! finished `Completion`s from the workers into per-connection write
 //! buffers, and (4) flushes those buffers as far as the sockets accept.
 //! When a pass moves no bytes it sleeps briefly instead of spinning.
 //!

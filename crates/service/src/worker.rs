@@ -1,7 +1,7 @@
 //! Worker shards: batch-drained request queues and the per-tenant state
 //! machine (resident session ↔ parked warm snapshot).
 //!
-//! Each worker owns one [`ShardQueue`] and all tenants hashing to its
+//! Each worker owns one `ShardQueue` and all tenants hashing to its
 //! shard. The queue replaces the old one-blocking-`recv`-per-request
 //! loop: a worker wakes up, drains up to `batch` requests under one lock
 //! acquisition, and serves them in order. Enqueue-time **coalescing**
@@ -212,7 +212,6 @@ impl ShardQueue {
 /// Per-worker knobs, split off [`crate::ServiceConfig`].
 pub(crate) struct WorkerConfig {
     pub batch: usize,
-    pub reuse_lowering: bool,
     pub deadline_ms: Option<f64>,
     pub max_resident: usize,
     pub persist_dir: Option<PathBuf>,
@@ -470,7 +469,7 @@ impl Shard {
             last_used: 0,
             state: TenantState::Parked(None),
         };
-        let plan = solve_slot(&self.cfg, tenant, &mut slot, 1)?;
+        let plan = solve_slot(tenant, &mut slot, 1)?;
         slot.counters.served += 1;
         self.tenants.insert(tenant.to_string(), slot);
         self.persist_one(tenant);
@@ -532,14 +531,14 @@ impl Shard {
             for r in replies {
                 r.deliver(&out);
             }
-            let _ = solve_slot(&self.cfg, tenant, slot, 1);
+            let _ = solve_slot(tenant, slot, 1);
             self.persist_one(tenant);
             self.touch_and_evict(tenant);
             return;
         }
 
         let coalesced = replies.len();
-        let out = solve_slot(&self.cfg, tenant, slot, coalesced);
+        let out = solve_slot(tenant, slot, coalesced);
         if out.is_ok() {
             slot.counters.served += coalesced;
             slot.counters.coalesced += coalesced.saturating_sub(1);
@@ -572,11 +571,10 @@ impl Shard {
     }
 
     fn certify(&mut self, tenant: &str) -> Result<CertifiedRate, ServiceError> {
-        let reuse = self.cfg.reuse_lowering;
         let Some(slot) = self.tenants.get_mut(tenant) else {
             return Err(ServiceError::UnknownTenant(tenant.to_string()));
         };
-        revive(slot, reuse);
+        revive(slot);
         let TenantState::Resident(sess) = &mut slot.state else {
             unreachable!("revive makes the slot resident")
         };
@@ -631,16 +629,13 @@ impl Shard {
 }
 
 /// Run the tenant's LP (reviving a parked session first) and update the
-/// slot's plan, telemetry mirrors and EWMA. A free function so callers
-/// can hold the slot `&mut` out of the shard map while borrowing the
-/// worker config.
+/// slot's plan, telemetry mirrors and EWMA.
 fn solve_slot(
-    cfg: &WorkerConfig,
     tenant: &str,
     slot: &mut TenantSlot,
     coalesced: usize,
 ) -> Result<Replan, ServiceError> {
-    revive(slot, cfg.reuse_lowering);
+    revive(slot);
     let TenantState::Resident(sess) = &mut slot.state else {
         unreachable!("revive makes the slot resident")
     };
@@ -719,7 +714,7 @@ impl Shard {
 
 /// Rebuild a live session for a parked tenant, seeding it with the kept
 /// warm snapshot so the first re-plan after revival is warm, not cold.
-fn revive(slot: &mut TenantSlot, reuse_lowering: bool) {
+fn revive(slot: &mut TenantSlot) {
     if matches!(slot.state, TenantState::Resident(_)) {
         return;
     }
@@ -727,7 +722,6 @@ fn revive(slot: &mut TenantSlot, reuse_lowering: bool) {
         unreachable!()
     };
     let mut sess = SolveSession::new(MasterSlave::new(slot.master));
-    sess.set_lowering_reuse(reuse_lowering);
     sess.set_base(slot.base.clone());
     if let Some(w) = warm.take() {
         sess.seed_warm(w);
