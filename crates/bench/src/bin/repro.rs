@@ -26,16 +26,23 @@ fn main() {
         return;
     }
 
+    let unknown: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| *a != "all" && !registry.iter().any(|(id, _)| id == a))
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!(
+            "unknown experiment id(s): {}; try `repro list`",
+            unknown.join(", ")
+        );
+        std::process::exit(2);
+    }
+
     let run_all = args.iter().any(|a| a == "all");
-    let mut ran = 0;
     for (id, f) in &registry {
         if run_all || args.iter().any(|a| a == id) {
             f();
-            ran += 1;
         }
-    }
-    if ran == 0 {
-        eprintln!("no matching experiment; try `repro list`");
-        std::process::exit(2);
     }
 }

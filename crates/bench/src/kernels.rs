@@ -1,7 +1,5 @@
 //! Dense-tableau vs sparse-revised-simplex kernel comparisons.
 //!
-//! Two consumers:
-//!
 //! * [`formulation_pairings`] times every steady-state formulation's `f64`
 //!   solve on both kernels (identical instances) — the per-formulation
 //!   half of `BENCH_lp_sparse.json`, written by the `lp-scale` sweep.
@@ -13,7 +11,14 @@
 //!   formulations solved with native `0 ≤ x ≤ u` handling vs the
 //!   lowered-rows oracle, identical exact optima and verifying
 //!   certificates required on both kernels.
+//!
+//! Both smokes are calls to the crate's options-matrix harness
+//! (`option_matrix`): one LP under a list of [`SimplexOptions`] on `f64`
+//! and `Ratio`, one exact optimum, a certificate on every exact solve.
+//! Only the checks particular to a smoke (the kernel tag, the bound-row
+//! count) are written out here.
 
+use crate::harness::option_matrix;
 use crate::table::{banner, print_table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -141,45 +146,29 @@ pub fn kernel_smoke() {
         "kernel-smoke",
         "kernel regression guard — dense vs sparse on both backends, small p",
     );
+    let kernels = [Kernel::SparseRevised, Kernel::Dense].map(SimplexOptions::with_kernel);
     let mut rows = Vec::new();
     for p in [4usize, 8, 12] {
         let mut rng = StdRng::seed_from_u64(7000 + p as u64);
         let (g, m) = topo::random_connected(&mut rng, p, 0.3, &topo::ParamRange::default());
-        let f = MasterSlave::new(m);
-
-        // f64: dense vs sparse within tolerance.
-        let (dense, sparse) = engine::kernel_cross_check(&f, &g, crate::scale::BACKEND_TOLERANCE)
-            .expect("f64 kernels agree");
-
-        // Exact: the engine's certified (sparse) optimum and the dense
-        // reference tableau are identical rationals.
-        let exact = engine::solve(&f, &g).expect("exact certified solve");
-        let (lp, _) = f.build(&g).expect("SSMS build");
-        let dense_exact =
-            engine::solve_problem_with::<Ratio>(&lp, &SimplexOptions::with_kernel(Kernel::Dense))
-                .expect("exact dense solve");
-        assert_eq!(dense_exact.solution().kernel(), Kernel::Dense);
-        assert_eq!(
-            &exact.ntask,
-            dense_exact.objective(),
-            "p={p}: the dense reference disagrees with the certified sparse optimum"
-        );
-        let err = (exact.ntask.to_f64() - sparse.objective_f64()).abs();
-        assert!(
-            err <= crate::scale::BACKEND_TOLERANCE,
-            "p={p}: f64 sparse drifts from exact by {err:.3e}"
-        );
+        let (lp, _) = MasterSlave::new(m).build(&g).expect("SSMS build");
+        let solved = option_matrix(&lp, &kernels);
+        let ((sparse, exact), (dense, dense_exact)) = (&solved[0], &solved[1]);
+        assert_eq!(dense_exact.kernel(), Kernel::Dense);
 
         // The ported divisible formulation rides the same guard.
-        engine::kernel_cross_check(&Divisible::new(m), &g, crate::scale::BACKEND_TOLERANCE)
-            .expect("divisible kernels agree");
+        let (lp, _) = Divisible::new(m).build(&g).expect("divisible build");
+        option_matrix(&lp, &kernels);
 
         rows.push(vec![
             p.to_string(),
-            format!("{:.6}", dense.objective_f64()),
-            format!("{:.6}", sparse.objective_f64()),
-            exact.ntask.to_string(),
-            format!("{:.1e}", err),
+            format!("{:.6}", dense.objective()),
+            format!("{:.6}", sparse.objective()),
+            exact.objective().to_string(),
+            format!(
+                "{:.1e}",
+                (exact.objective().to_f64() - sparse.objective()).abs()
+            ),
         ]);
     }
     print_table(&["p", "dense f64", "sparse f64", "exact", "|Δ|"], &rows);
@@ -196,17 +185,17 @@ pub fn bounded_smoke() {
         "bounded-smoke",
         "bounded-variable guard — native 0 ≤ x ≤ u vs lowered bound rows, both kernels",
     );
-    let solve_mode = |lp: &ss_lp::Problem, kernel: Kernel, mode: BoundMode| {
-        let opts = SimplexOptions {
-            kernel,
-            bound_mode: mode,
-            ..SimplexOptions::default()
-        };
-        let s = lp.solve_with::<Ratio>(&opts).expect("exact solve");
-        lp.verify_optimality(&s)
-            .unwrap_or_else(|e| panic!("{kernel:?}/{mode:?} certificate failed: {e}"));
-        s
-    };
+    let modes = [
+        (Kernel::SparseRevised, BoundMode::Native),
+        (Kernel::SparseRevised, BoundMode::LoweredRows),
+        (Kernel::Dense, BoundMode::Native),
+        (Kernel::Dense, BoundMode::LoweredRows),
+    ]
+    .map(|(kernel, bound_mode)| SimplexOptions {
+        kernel,
+        bound_mode,
+        ..SimplexOptions::default()
+    });
 
     let mut rows = Vec::new();
     let (fig1, m1) = paper::fig1();
@@ -217,39 +206,23 @@ pub fn bounded_smoke() {
         platforms.push((format!("rand-{p}"), g, m));
     }
     for (name, g, m) in &platforms {
-        let f = MasterSlave::new(*m);
-        let (lp, _) = f.build(g).expect("SSMS build");
+        let (lp, _) = MasterSlave::new(*m).build(g).expect("SSMS build");
         let native_rows = ss_lp::lower::<Ratio>(&lp).m;
         let lowered_rows = ss_lp::lower_with::<Ratio>(&lp, BoundMode::LoweredRows).m;
         assert!(native_rows < lowered_rows, "{name}: nothing to fold?");
 
-        let reference = solve_mode(&lp, Kernel::SparseRevised, BoundMode::Native);
-        for (kernel, mode) in [
-            (Kernel::SparseRevised, BoundMode::LoweredRows),
-            (Kernel::Dense, BoundMode::Native),
-            (Kernel::Dense, BoundMode::LoweredRows),
-        ] {
-            let s = solve_mode(&lp, kernel, mode);
-            assert_eq!(
-                s.objective(),
-                reference.objective(),
-                "{name}: {kernel:?}/{mode:?} disagrees with the bounded sparse optimum"
-            );
-        }
-        // f64 rides the same native path the sweeps use.
-        let fast = lp.solve_f64().expect("f64 solve");
-        let err = (fast.objective() - reference.objective().to_f64()).abs();
-        assert!(
-            err <= crate::scale::BACKEND_TOLERANCE,
-            "{name}: f64 bounded drifts from exact by {err:.3e}"
-        );
-
+        // The first mode is the default one the sweeps run.
+        let solved = option_matrix(&lp, &modes);
+        let (fast, reference) = &solved[0];
         rows.push(vec![
             name.clone(),
             format!("{native_rows}/{lowered_rows}"),
             reference.objective().to_string(),
             reference.iterations().to_string(),
-            format!("{:.1e}", err),
+            format!(
+                "{:.1e}",
+                (fast.objective() - reference.objective().to_f64()).abs()
+            ),
         ]);
     }
     print_table(

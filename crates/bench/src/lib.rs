@@ -6,14 +6,21 @@
 //! Criterion benches (`cargo bench -p ss-bench`) time the algorithmic
 //! kernels (LP solving, edge-coloring decomposition, simulation).
 //!
-//! Experiment ids mirror `DESIGN.md` §2; recorded outputs live in
-//! `EXPERIMENTS.md`.
+//! `repro list` prints every experiment id; the README's "Reproducing the
+//! paper's experiments" section says what each one covers, and the
+//! `BENCH_*.json` files at the repository root hold the recorded sweeps.
+//! The CI smokes and the `bench-check` gate are configurations of three
+//! crate-private harnesses: a drift chain (one warm session re-planned
+//! through seeded drift, every phase checked against a cold solve), an
+//! options matrix (one LP under a list of `SimplexOptions` on both
+//! scalars) and a committed-record gate.
 
 #![forbid(unsafe_code)]
 
 pub mod apps;
 pub mod collectives;
 pub mod figures;
+mod harness;
 pub mod kernels;
 pub mod limits;
 pub mod online;
@@ -24,7 +31,7 @@ pub mod service;
 pub mod table;
 pub mod warm;
 
-/// All experiment ids with their runners, in DESIGN.md order.
+/// All experiment ids with their runners, in `repro list` order.
 pub fn registry() -> Vec<(&'static str, fn())> {
     vec![
         ("fig1", figures::fig1 as fn()),

@@ -1,6 +1,6 @@
 //! Online-churn experiments: the `online-scale` sweep, the
-//! `online-smoke` CI guard, and the [`online_check`] slice of the
-//! `bench-check` regression gate.
+//! `online-smoke` CI guard, and the online slice of the `bench-check`
+//! regression gate.
 //!
 //! The session-edit redesign's perf claim: when workers join and leave a
 //! live platform, `SolveSession::apply` migrates the resident basis onto
@@ -15,10 +15,13 @@
 //! cold fallbacks, both arrivals and departures observed, and a strictly
 //! lower mean re-plan wall-clock than the cold baseline.
 //! [`online_smoke`] is the small deterministic CI guard for the same
-//! invariants; [`online_check`] compares a fresh warm/cold wall-clock
-//! ratio against the committed record (a ratio of ratios, so machine
-//! speed cancels).
+//! invariants. The `bench-check` slice is the crate's record gate
+//! (`gate`) configured to compare a fresh warm/cold wall-clock ratio
+//! against the committed record (a ratio of ratios, so machine speed
+//! cancels). Churn changes the LP's shape, so these runs go through
+//! `ss_sim::online` rather than the drift-chain harness.
 
+use crate::harness::{gate, json_lines, json_obj, GateSpec, Headroom, Metric};
 use crate::table::{banner, print_table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,39 +32,60 @@ use ss_platform::NodeId;
 use ss_sim::online::{
     quantize, simulate_online, OnlineConfig, OnlineRun, OnlineTrace, ReplanMode, WorkerPool,
 };
-use std::fmt::Write as _;
 
-/// Where the sweep records its points (and where [`online_check`] reads
-/// the committed reference back from).
+/// Where the sweep records its points (and where the `bench-check` slice
+/// reads the committed reference back from).
 const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lp_online.json");
+
+/// The `bench-check` slice: 2x headroom on the warm/cold mean re-plan
+/// wall-clock ratio at every recorded pool size (warm and cold re-plans
+/// run back to back on the same box, so its speed cancels), a 0.10 floor
+/// against sub-millisecond timer noise, and a hard 1.0 cap: whatever the
+/// committed advantage, warm must still win.
+const ONLINE_GATE: GateSpec = GateSpec {
+    path: BENCH_PATH,
+    array: "online_scale",
+    key: "p",
+    last_only: false,
+    metrics: &[Metric {
+        name: "warm/cold re-plan ms",
+        num: "warm.mean_solve_ms",
+        den: Some("cold.mean_solve_ms"),
+        headroom: Headroom::Lower(0.10, 1.0),
+    }],
+};
 
 /// Pool sizes of the recorded sweep: the redesign's acceptance sizes.
 const SWEEP_P: [usize; 2] = [96, 192];
 
-/// One re-plan mode's aggregate over a run.
-struct ModeStats {
-    replans: usize,
-    cold_fallbacks: usize,
-    migrations: usize,
-    pivots: usize,
-    mean_solve_ms: f64,
-    mean_stretch: f64,
-    p95_stretch: f64,
+/// Mean wall-clock per re-plan of a run.
+fn mean_solve_ms(run: &OnlineRun) -> f64 {
+    run.total_solve_ms() / run.replans.len().max(1) as f64
 }
 
-impl ModeStats {
-    fn of(run: &OnlineRun) -> ModeStats {
-        ModeStats {
-            replans: run.replans.len(),
-            cold_fallbacks: run.cold_fallbacks,
-            migrations: run.migrations,
-            pivots: run.total_iterations(),
-            mean_solve_ms: run.total_solve_ms() / run.replans.len().max(1) as f64,
-            mean_stretch: run.mean_stretch(),
-            p95_stretch: run.stretch_percentile(0.95),
-        }
-    }
+/// One re-plan mode's table cells: replans, cold fallbacks, migrations,
+/// pivots, mean re-plan ms, mean and p95 stretch.
+fn mode_cells(run: &OnlineRun) -> Vec<String> {
+    vec![
+        run.replans.len().to_string(),
+        run.cold_fallbacks.to_string(),
+        run.migrations.to_string(),
+        run.total_iterations().to_string(),
+        format!("{:.3}", mean_solve_ms(run)),
+        format!("{:.2}", run.mean_stretch()),
+        format!("{:.2}", run.stretch_percentile(0.95)),
+    ]
 }
+
+const MODE_HEADERS: [&str; 7] = [
+    "replans",
+    "cold fb",
+    "migrated",
+    "pivots",
+    "mean ms",
+    "mean stretch",
+    "p95 stretch",
+];
 
 /// Mean and p95 stretch of a rigid batch schedule, measured against the
 /// same yardstick as the online runs: flow time over the job's ideal
@@ -96,9 +120,8 @@ impl BatchStats {
 
 struct ScalePoint {
     p: usize,
-    jobs: usize,
-    warm: ModeStats,
-    cold: ModeStats,
+    warm: OnlineRun,
+    cold: OnlineRun,
     fcfs: BatchStats,
     backfill: BatchStats,
 }
@@ -106,11 +129,11 @@ struct ScalePoint {
 /// The sweep's workload at pool size `p`: three quarters of the pool
 /// present initially, churn free to dip to half, defaults otherwise
 /// (Poisson arrivals, Pareto(1.5) work, 0.1 re-plan penalty).
-fn online_cfg(p: usize, seed: u64) -> OnlineConfig {
+fn online_cfg(p: usize) -> OnlineConfig {
     OnlineConfig {
         init_workers: p * 3 / 4,
         min_workers: p / 2,
-        seed,
+        seed: 0xca11 + p as u64,
         ..OnlineConfig::default()
     }
 }
@@ -145,33 +168,23 @@ fn batch_view(run: &OnlineRun, pool: &WorkerPool, cfg: &OnlineConfig) -> Vec<Bat
         .collect()
 }
 
-/// Run one sweep point: the same pool, config and trace through a
-/// warm-with-edits session and a cold-per-event session, plus the batch
-/// baselines, with the redesign's acceptance claims asserted in-sweep.
-fn run_point(p: usize) -> ScalePoint {
+/// Replay `cfg`'s trace on the seeded `p`-worker pool through a
+/// warm-with-edits session and a cold-per-event session, and assert what
+/// the sweep and the smoke both claim: the same re-plan stream and job
+/// timeline in both modes, zero cold fallbacks, churn in both directions,
+/// at least one migrated basis, and no more warm pivots than cold ones.
+fn replay(p: usize, cfg: &OnlineConfig) -> (WorkerPool, OnlineRun, OnlineRun) {
     let mut rng = StdRng::seed_from_u64(0x0e11e + p as u64);
     let pool = WorkerPool::random(&mut rng, p);
-    let cfg = online_cfg(p, 0xca11 + p as u64);
-    let trace = OnlineTrace::generate(&cfg);
+    let trace = OnlineTrace::generate(cfg);
     assert!(trace.churn_events() > 0, "p={p}: trace has no churn");
+    let run = |mode| {
+        let mut sess: SolveSession<f64, MasterSlave> =
+            SolveSession::new(MasterSlave::new(NodeId(0)));
+        simulate_online(&mut sess, &pool, cfg, &trace, mode).expect("online run")
+    };
+    let (warm, cold) = (run(ReplanMode::WarmEdits), run(ReplanMode::ColdPerEvent));
 
-    let mut warm_sess: SolveSession<f64, MasterSlave> =
-        SolveSession::new(MasterSlave::new(NodeId(0)));
-    let warm = simulate_online(&mut warm_sess, &pool, &cfg, &trace, ReplanMode::WarmEdits)
-        .expect("warm online run");
-    let mut cold_sess: SolveSession<f64, MasterSlave> =
-        SolveSession::new(MasterSlave::new(NodeId(0)));
-    let cold = simulate_online(
-        &mut cold_sess,
-        &pool,
-        &cfg,
-        &trace,
-        ReplanMode::ColdPerEvent,
-    )
-    .expect("cold online run");
-
-    // Identical trace and optima: both modes must execute the same
-    // schedule and serve the same re-plan stream.
     assert_eq!(
         warm.replans.len(),
         cold.replans.len(),
@@ -180,7 +193,6 @@ fn run_point(p: usize) -> ScalePoint {
     for (a, b) in warm.jobs.iter().zip(&cold.jobs) {
         assert_eq!(a.finish, b.finish, "p={p}: warm/cold job timelines diverge");
     }
-    // The redesign's acceptance claims, where they matter: at scale.
     assert_eq!(
         warm.cold_fallbacks, 0,
         "p={p}: a shape edit fell back to a cold solve"
@@ -196,12 +208,20 @@ fn run_point(p: usize) -> ScalePoint {
         warm.total_iterations(),
         cold.total_iterations()
     );
+    (pool, warm, cold)
+}
+
+/// Run one sweep point: [`replay`] at the sweep's workload, the
+/// redesign's wall-clock claim, and the batch baselines.
+fn run_point(p: usize) -> ScalePoint {
+    let cfg = online_cfg(p);
+    let (pool, warm, cold) = replay(p, &cfg);
     assert!(
         warm.total_solve_ms() < cold.total_solve_ms(),
         "p={p}: warm-with-edits is no faster than cold-per-event on mean re-plan wall-clock \
          ({:.3} ms vs {:.3} ms per re-plan)",
-        warm.total_solve_ms() / warm.replans.len() as f64,
-        cold.total_solve_ms() / cold.replans.len() as f64
+        mean_solve_ms(&warm),
+        mean_solve_ms(&cold)
     );
 
     let rigid = batch_view(&warm, &pool, &cfg);
@@ -215,9 +235,8 @@ fn run_point(p: usize) -> ScalePoint {
 
     ScalePoint {
         p,
-        jobs: warm.jobs.len(),
-        warm: ModeStats::of(&warm),
-        cold: ModeStats::of(&cold),
+        warm,
+        cold,
         fcfs,
         backfill,
     }
@@ -238,47 +257,17 @@ pub fn online_scale() {
 
     let mut rows = Vec::new();
     for pt in &points {
-        for (tag, st) in [("warm-edits", &pt.warm), ("cold/event", &pt.cold)] {
-            rows.push(vec![
-                pt.p.to_string(),
-                tag.into(),
-                st.replans.to_string(),
-                st.cold_fallbacks.to_string(),
-                st.migrations.to_string(),
-                st.pivots.to_string(),
-                format!("{:.3}", st.mean_solve_ms),
-                format!("{:.2}", st.mean_stretch),
-                format!("{:.2}", st.p95_stretch),
-            ]);
+        for (tag, run) in [("warm-edits", &pt.warm), ("cold/event", &pt.cold)] {
+            rows.push([vec![pt.p.to_string(), tag.into()], mode_cells(run)].concat());
         }
         for (tag, st) in [("fcfs", &pt.fcfs), ("backfill", &pt.backfill)] {
-            rows.push(vec![
-                pt.p.to_string(),
-                tag.into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                format!("{:.2}", st.mean_stretch),
-                format!("{:.2}", st.p95_stretch),
-            ]);
+            let mut row = vec![pt.p.to_string(), tag.into()];
+            row.extend(["-"; 5].map(String::from));
+            row.extend([st.mean_stretch, st.p95_stretch].map(|x| format!("{x:.2}")));
+            rows.push(row);
         }
     }
-    print_table(
-        &[
-            "p",
-            "mode",
-            "replans",
-            "cold fb",
-            "migrated",
-            "pivots",
-            "mean ms",
-            "mean stretch",
-            "p95 stretch",
-        ],
-        &rows,
-    );
+    print_table(&[&["p", "mode"], &MODE_HEADERS[..]].concat(), &rows);
 
     match write_online_json(&points) {
         Ok(path) => println!("\nrecorded online sweep to {path}"),
@@ -287,42 +276,40 @@ pub fn online_scale() {
 }
 
 fn write_online_json(points: &[ScalePoint]) -> std::io::Result<String> {
-    fn mode_json(st: &ModeStats) -> String {
-        format!(
-            "{{\"replans\": {}, \"cold_fallbacks\": {}, \"migrations\": {}, \
-             \"pivots\": {}, \"mean_solve_ms\": {:.4}, \"mean_stretch\": {:.4}, \
-             \"p95_stretch\": {:.4}}}",
-            st.replans,
-            st.cold_fallbacks,
-            st.migrations,
-            st.pivots,
-            st.mean_solve_ms,
-            st.mean_stretch,
-            st.p95_stretch
-        )
-    }
-    fn batch_json(st: &BatchStats) -> String {
-        format!(
-            "{{\"mean_stretch\": {:.4}, \"p95_stretch\": {:.4}}}",
-            st.mean_stretch, st.p95_stretch
-        )
-    }
-    let mut s = String::from("{\n  \"online_scale\": [\n");
-    for (i, pt) in points.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"p\": {}, \"jobs\": {}, \"warm\": {}, \"cold\": {}, \
-             \"fcfs\": {}, \"backfill\": {}}}",
-            pt.p,
-            pt.jobs,
-            mode_json(&pt.warm),
-            mode_json(&pt.cold),
-            batch_json(&pt.fcfs),
-            batch_json(&pt.backfill)
-        );
-        s.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
+    let mode_json = |run: &OnlineRun| {
+        json_obj(&[
+            ("replans", run.replans.len().to_string()),
+            ("cold_fallbacks", run.cold_fallbacks.to_string()),
+            ("migrations", run.migrations.to_string()),
+            ("pivots", run.total_iterations().to_string()),
+            ("mean_solve_ms", format!("{:.4}", mean_solve_ms(run))),
+            ("mean_stretch", format!("{:.4}", run.mean_stretch())),
+            (
+                "p95_stretch",
+                format!("{:.4}", run.stretch_percentile(0.95)),
+            ),
+        ])
+    };
+    let batch_json = |st: &BatchStats| {
+        json_obj(&[
+            ("mean_stretch", format!("{:.4}", st.mean_stretch)),
+            ("p95_stretch", format!("{:.4}", st.p95_stretch)),
+        ])
+    };
+    let rows: Vec<String> = points
+        .iter()
+        .map(|pt| {
+            json_obj(&[
+                ("p", pt.p.to_string()),
+                ("jobs", pt.warm.jobs.len().to_string()),
+                ("warm", mode_json(&pt.warm)),
+                ("cold", mode_json(&pt.cold)),
+                ("fcfs", batch_json(&pt.fcfs)),
+                ("backfill", batch_json(&pt.backfill)),
+            ])
+        })
+        .collect();
+    let s = format!("{{\n  \"online_scale\": {}\n}}\n", json_lines(&rows, 4));
     std::fs::write(BENCH_PATH, s)?;
     Ok("BENCH_lp_online.json".into())
 }
@@ -340,75 +327,14 @@ pub fn online_smoke() {
         "session-edit guard — churn re-plans stay warm, schedules agree with cold",
     );
     let p = 12;
-    let mut rng = StdRng::seed_from_u64(0x0e11e + p as u64);
-    let pool = WorkerPool::random(&mut rng, p);
     let cfg = OnlineConfig {
         njobs: 20,
-        ..online_cfg(p, 0xca11 + p as u64)
+        ..online_cfg(p)
     };
-    let trace = OnlineTrace::generate(&cfg);
-
-    let mut warm_sess: SolveSession<f64, MasterSlave> =
-        SolveSession::new(MasterSlave::new(NodeId(0)));
-    let warm = simulate_online(&mut warm_sess, &pool, &cfg, &trace, ReplanMode::WarmEdits)
-        .expect("warm online run");
-    let mut cold_sess: SolveSession<f64, MasterSlave> =
-        SolveSession::new(MasterSlave::new(NodeId(0)));
-    let cold = simulate_online(
-        &mut cold_sess,
-        &pool,
-        &cfg,
-        &trace,
-        ReplanMode::ColdPerEvent,
-    )
-    .expect("cold online run");
-
-    assert_eq!(
-        warm.cold_fallbacks, 0,
-        "a shape edit fell back to a cold solve"
-    );
-    assert!(warm.migrations > 0, "no re-plan migrated the basis");
-    assert!(
-        warm.replans.iter().any(|r| r.arrival) && warm.replans.iter().any(|r| !r.arrival),
-        "trace exercised only one churn direction"
-    );
-    for (a, b) in warm.jobs.iter().zip(&cold.jobs) {
-        assert_eq!(a.finish, b.finish, "warm/cold job timelines diverge");
-    }
-    assert!(
-        warm.total_iterations() <= cold.total_iterations(),
-        "warm re-plans pivot more than cold ({} vs {})",
-        warm.total_iterations(),
-        cold.total_iterations()
-    );
-    print_table(
-        &[
-            "mode",
-            "replans",
-            "cold fb",
-            "migrated",
-            "pivots",
-            "mean stretch",
-        ],
-        &[
-            vec![
-                "warm-edits".into(),
-                warm.replans.len().to_string(),
-                warm.cold_fallbacks.to_string(),
-                warm.migrations.to_string(),
-                warm.total_iterations().to_string(),
-                format!("{:.2}", warm.mean_stretch()),
-            ],
-            vec![
-                "cold/event".into(),
-                cold.replans.len().to_string(),
-                cold.cold_fallbacks.to_string(),
-                cold.migrations.to_string(),
-                cold.total_iterations().to_string(),
-                format!("{:.2}", cold.mean_stretch()),
-            ],
-        ],
-    );
+    let (_, warm, cold) = replay(p, &cfg);
+    let rows = [("warm-edits", &warm), ("cold/event", &cold)]
+        .map(|(tag, run)| [vec![tag.to_string()], mode_cells(run)].concat());
+    print_table(&[&["mode"], &MODE_HEADERS[..]].concat(), &rows);
     println!(
         "every churn re-plan rode the migrated basis; warm and cold schedules agree \
          (asserted; failures panic CI)."
@@ -416,73 +342,15 @@ pub fn online_smoke() {
 }
 
 /// The `bench-check` slice for `BENCH_lp_online.json`: replays every
-/// recorded pool size and fails if the fresh **warm/cold mean re-plan
-/// wall-clock ratio** regresses past 2x the committed one (capped at 1.0
-/// — warm must at minimum still beat cold), or if any shape edit falls
-/// back to a cold solve (deterministic, no headroom needed; asserted
-/// inside `run_point`).
-pub fn online_check() {
-    let committed = std::fs::read_to_string(BENCH_PATH)
-        .unwrap_or_else(|e| panic!("cannot read committed BENCH_lp_online.json: {e}"));
-    let doc = serde_json::parse(&committed)
-        .unwrap_or_else(|e| panic!("committed BENCH_lp_online.json is not valid JSON: {e}"));
-    let points = crate::warm::json_field(&doc, "online_scale")
-        .and_then(crate::warm::json_array)
-        .expect("BENCH_lp_online.json: missing `online_scale` array");
-    assert!(!points.is_empty(), "committed file records no points");
-
-    let mut rows = Vec::new();
-    let mut regressed = false;
-    for rec in points {
-        let p = crate::warm::json_field(rec, "p")
-            .and_then(crate::warm::json_f64)
-            .expect("point without `p`") as usize;
-        let ms = |side: &str| {
-            crate::warm::json_field(rec, side)
-                .and_then(|s| crate::warm::json_field(s, "mean_solve_ms"))
-                .and_then(crate::warm::json_f64)
-                .unwrap_or_else(|| panic!("point without `{side}.mean_solve_ms`"))
-        };
-        let committed_ratio = ms("warm") / ms("cold").max(1e-9);
-
-        // Fresh replay; run_point asserts zero cold fallbacks and the
-        // strict warm-beats-cold wall-clock claim internally.
-        let fresh = run_point(p);
-        let fresh_ratio = fresh.warm.mean_solve_ms / fresh.cold.mean_solve_ms.max(1e-9);
-        // 2x headroom on the ratio of ratios (machine speed cancels: warm
-        // and cold re-plans run back to back on the same box), a 0.10
-        // absolute floor against sub-millisecond timer noise, and a hard
-        // 1.0 cap: whatever the committed advantage, warm must still win.
-        let limit = (committed_ratio * 2.0).clamp(0.10, 1.0);
-        let ok = fresh_ratio <= limit;
-        regressed |= !ok;
-        rows.push(vec![
-            p.to_string(),
-            format!("{committed_ratio:.3}"),
-            format!("{fresh_ratio:.3}"),
-            format!("{limit:.3}"),
-            fresh.warm.cold_fallbacks.to_string(),
-            if ok { "ok".into() } else { "REGRESSED".into() },
-        ]);
-    }
-    print_table(
-        &[
-            "p",
-            "committed ms ratio",
-            "fresh ms ratio",
-            "limit",
-            "cold fb",
-            "verdict",
-        ],
-        &rows,
-    );
-    assert!(
-        !regressed,
-        "online warm/cold mean re-plan wall-clock ratio regressed past the committed \
-         BENCH_lp_online.json"
-    );
-    println!(
-        "fresh online warm/cold wall-clock ratio within 2x of the committed record at every \
-         pool size, zero cold fallbacks."
-    );
+/// recorded pool size through [`ONLINE_GATE`]; `run_point` asserts zero
+/// cold fallbacks and the strict warm-beats-cold claim internally.
+pub(crate) fn online_check() -> Vec<String> {
+    gate(&ONLINE_GATE, |ps| {
+        ps.iter()
+            .map(|&p| {
+                let pt = run_point(p);
+                vec![mean_solve_ms(&pt.warm) / mean_solve_ms(&pt.cold).max(1e-9)]
+            })
+            .collect()
+    })
 }

@@ -1,5 +1,5 @@
 //! Evented-service experiments: the `service-scale` sweep, the
-//! `service-smoke` socket guard, and the [`service_check`] slice of the
+//! `service-smoke` socket guard, and the service slice of the
 //! `bench-check` regression gate.
 //!
 //! The service's perf claims are operational, not algorithmic: batched
@@ -13,23 +13,24 @@
 //! baseline at the largest tenant count and that the restart is
 //! all-warm. [`service_smoke`] is the CI guard for the socket path: real
 //! TCP clients against a real reactor, answers cross-checked against
-//! private reference sessions, certificates verified.
+//! private reference sessions, certificates verified. The `bench-check`
+//! slice is the crate's record gate (`gate`) configured for
+//! `BENCH_service.json`'s largest tenant count; drift is the crate's
+//! shared mild `Drift`.
 
+use crate::harness::{gate, json_lines, json_obj, Drift, GateSpec, Headroom, Metric};
 use crate::table::{banner, print_table};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use ss_core::master_slave::MasterSlave;
 use ss_core::session::SolveSession;
-use ss_num::Ratio;
 use ss_platform::{topo, NodeId, Platform};
 use ss_service::{Service, ServiceConfig, SocketClient};
-use ss_sim::dynamic::ParamScale;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Where the sweep records its points (and where [`service_check`] reads
-/// the committed reference back from).
+/// Where the sweep records its points (and where the `bench-check` slice
+/// reads the committed reference back from).
 const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
 
 /// Node count of every tenant platform in the sweep: big enough that a
@@ -37,22 +38,25 @@ const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_servi
 /// stays in CI budget.
 const TENANT_P: usize = 20;
 
-/// Mild per-round drift, the §5.5 NWS regime (same shape as the
-/// warm-scale sweep's).
-fn service_drift(rng: &mut StdRng, g: &Platform) -> ParamScale {
-    let mut s = ParamScale::nominal(g);
-    for w in s.w_mult.iter_mut() {
-        if rng.gen_bool(0.3) {
-            *w = Ratio::new(rng.gen_range(8..=18), 12);
-        }
-    }
-    for c in s.c_mult.iter_mut() {
-        if rng.gen_bool(0.3) {
-            *c = Ratio::new(rng.gen_range(8..=18), 12);
-        }
-    }
-    s
-}
+/// Mild per-round drift, the §5.5 NWS regime (the warm-scale sweep's).
+const DRIFT: Drift = Drift::mild(0.3);
+
+/// The `bench-check` slice: the batched-over-unbatched throughput
+/// advantage at the largest recorded tenant count may halve (a ratio of
+/// ratios, so machine speed cancels), but never drop below 1.0 — the
+/// batched path must at minimum still beat the baseline.
+const SERVICE_GATE: GateSpec = GateSpec {
+    path: BENCH_PATH,
+    array: "service_scale",
+    key: "tenants",
+    last_only: true,
+    metrics: &[Metric {
+        name: "batched/unbatched replans/s",
+        num: "batched.replans_per_sec",
+        den: Some("unbatched.replans_per_sec"),
+        headroom: Headroom::Higher(1.0),
+    }],
+};
 
 fn tenant_fleet(n: usize) -> Vec<(String, Platform, NodeId)> {
     (0..n)
@@ -128,7 +132,7 @@ fn run_load(
                 for _ in 0..rounds {
                     let mut pending = Vec::with_capacity(burst);
                     for _ in 0..burst {
-                        let drift = service_drift(&mut rng, g);
+                        let drift = DRIFT.sample(&mut rng, g);
                         let sent = Instant::now();
                         let p = c.update_async(id.clone(), drift).expect("enqueue update");
                         pending.push((sent, p));
@@ -234,7 +238,7 @@ fn restart_recovery(n: usize) -> RestartPoint {
         for _ in 0..2 {
             for (id, g, _) in &fleet {
                 client
-                    .update(id.clone(), service_drift(&mut rng, g))
+                    .update(id.clone(), DRIFT.sample(&mut rng, g))
                     .expect("pre-restart drift");
             }
         }
@@ -251,7 +255,7 @@ fn restart_recovery(n: usize) -> RestartPoint {
         let mut rng = StdRng::seed_from_u64(0x0eaf + 1);
         for (id, g, _) in &fleet {
             let re = client
-                .update(id.clone(), service_drift(&mut rng, g))
+                .update(id.clone(), DRIFT.sample(&mut rng, g))
                 .expect("post-restart re-plan");
             if !re.outcome.used_warm_basis() {
                 cold_solves_after_restart += 1;
@@ -374,39 +378,42 @@ pub fn service_scale() {
 }
 
 fn write_service_json(points: &[ScalePoint], restart: &RestartPoint) -> std::io::Result<String> {
-    fn stats_json(st: &LoadStats) -> String {
-        format!(
-            "{{\"requests\": {}, \"lp_solves\": {}, \"coalesced\": {}, \
-             \"replans_per_sec\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-             \"warm_fraction\": {:.3}}}",
-            st.requests,
-            st.lp_solves,
-            st.coalesced,
-            st.replans_per_sec,
-            st.p50_ms,
-            st.p99_ms,
-            st.warm_fraction
-        )
-    }
-    let mut s = String::from("{\n  \"service_scale\": [\n");
-    for (i, pt) in points.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"tenants\": {}, \"batched\": {}, \"unbatched\": {}}}",
-            pt.tenants,
-            stats_json(&pt.batched),
-            stats_json(&pt.unbatched)
-        );
-        s.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
-    }
-    let _ = write!(
-        s,
-        "  ],\n  \"restart\": {{\"tenants\": {}, \"cold_register_ms\": {:.1}, \
-         \"warm_recover_ms\": {:.1}, \"cold_solves_after_restart\": {}}}\n}}\n",
-        restart.tenants,
-        restart.cold_register_ms,
-        restart.warm_recover_ms,
-        restart.cold_solves_after_restart
+    let stats_json = |st: &LoadStats| {
+        json_obj(&[
+            ("requests", st.requests.to_string()),
+            ("lp_solves", st.lp_solves.to_string()),
+            ("coalesced", st.coalesced.to_string()),
+            ("replans_per_sec", format!("{:.1}", st.replans_per_sec)),
+            ("p50_ms", format!("{:.3}", st.p50_ms)),
+            ("p99_ms", format!("{:.3}", st.p99_ms)),
+            ("warm_fraction", format!("{:.3}", st.warm_fraction)),
+        ])
+    };
+    let rows: Vec<String> = points
+        .iter()
+        .map(|pt| {
+            json_obj(&[
+                ("tenants", pt.tenants.to_string()),
+                ("batched", stats_json(&pt.batched)),
+                ("unbatched", stats_json(&pt.unbatched)),
+            ])
+        })
+        .collect();
+    let restart = json_obj(&[
+        ("tenants", restart.tenants.to_string()),
+        (
+            "cold_register_ms",
+            format!("{:.1}", restart.cold_register_ms),
+        ),
+        ("warm_recover_ms", format!("{:.1}", restart.warm_recover_ms)),
+        (
+            "cold_solves_after_restart",
+            restart.cold_solves_after_restart.to_string(),
+        ),
+    ]);
+    let s = format!(
+        "{{\n  \"service_scale\": {},\n  \"restart\": {restart}\n}}\n",
+        json_lines(&rows, 4)
     );
     std::fs::write(BENCH_PATH, s)?;
     Ok("BENCH_service.json".into())
@@ -451,7 +458,7 @@ pub fn service_smoke() {
 
                 let mut drift_rng = StdRng::seed_from_u64(0xd00d + i as u64);
                 for round in 0..3 {
-                    let scale = service_drift(&mut drift_rng, &g);
+                    let scale = DRIFT.sample(&mut drift_rng, &g);
                     let gp = scale.apply(&g);
                     let re = sock.update(&id, scale).expect("update over wire");
                     let want = reference.resolve(&gp).expect("reference re-solve");
@@ -490,7 +497,7 @@ pub fn service_smoke() {
             let mut drift_rng = StdRng::seed_from_u64(0x1418);
             for _ in 0..3 {
                 client
-                    .update("local", service_drift(&mut drift_rng, &g))
+                    .update("local", DRIFT.sample(&mut drift_rng, &g))
                     .expect("local re-plan");
             }
         });
@@ -510,69 +517,24 @@ pub fn service_smoke() {
 }
 
 /// The `bench-check` slice for `BENCH_service.json`: replays the largest
-/// recorded tenant count and fails if the fresh batched-over-unbatched
-/// throughput advantage collapses below half the committed one (a ratio
-/// of ratios, so machine speed cancels), or if a restart-from-snapshot
-/// ever performs a cold solve (deterministic, no headroom needed).
-pub fn service_check() {
-    let committed = std::fs::read_to_string(BENCH_PATH)
-        .unwrap_or_else(|e| panic!("cannot read committed BENCH_service.json: {e}"));
-    let doc = serde_json::parse(&committed)
-        .unwrap_or_else(|e| panic!("committed BENCH_service.json is not valid JSON: {e}"));
-    let points = crate::warm::json_field(&doc, "service_scale")
-        .and_then(crate::warm::json_array)
-        .expect("BENCH_service.json: missing `service_scale` array");
-    let last = points.last().expect("service_scale records no points");
-    let tenants = crate::warm::json_field(last, "tenants")
-        .and_then(crate::warm::json_f64)
-        .expect("point without `tenants`") as usize;
-    let rps = |tag: &str| {
-        crate::warm::json_field(last, tag)
-            .and_then(|side| crate::warm::json_field(side, "replans_per_sec"))
-            .and_then(crate::warm::json_f64)
-            .unwrap_or_else(|| panic!("point without `{tag}.replans_per_sec`"))
-    };
-    let committed_speedup = rps("batched") / rps("unbatched").max(1e-9);
-
-    let fleet = tenant_fleet(tenants);
-    let batched = run_load(batched_config(4), &fleet, 4, 4);
-    let unbatched = run_load(unbatched_config(4), &fleet, 4, 4);
-    let fresh_speedup = batched.replans_per_sec / unbatched.replans_per_sec.max(1e-9);
-    // 2x headroom on the speedup ratio, with an absolute floor of 1.0:
-    // whatever the committed advantage was, the batched path must at
-    // minimum still beat the baseline.
-    let limit = (committed_speedup / 2.0).max(1.0);
-    print_table(
-        &[
-            "tenants",
-            "committed speedup",
-            "fresh speedup",
-            "floor",
-            "verdict",
-        ],
-        &[vec![
-            tenants.to_string(),
-            format!("{committed_speedup:.2}x"),
-            format!("{fresh_speedup:.2}x"),
-            format!("{limit:.2}x"),
-            if fresh_speedup >= limit {
-                "ok".into()
-            } else {
-                "REGRESSED".into()
-            },
-        ]],
-    );
-    assert!(
-        fresh_speedup >= limit,
-        "batched-service speedup regressed: fresh {fresh_speedup:.2}x vs committed \
-         {committed_speedup:.2}x (floor {limit:.2}x)"
-    );
-
-    // Deterministic half of the gate: restarts must stay all-warm (the
-    // helper asserts zero cold solves internally).
+/// recorded tenant count through [`SERVICE_GATE`], and requires every
+/// restart-from-snapshot to stay all-warm (deterministic, no headroom
+/// needed; `restart_recovery` asserts it).
+pub(crate) fn service_check() -> Vec<String> {
+    let verdicts = gate(&SERVICE_GATE, |keys| {
+        keys.iter()
+            .map(|&tenants| {
+                let fleet = tenant_fleet(tenants);
+                let batched = run_load(batched_config(4), &fleet, 4, 4);
+                let unbatched = run_load(unbatched_config(4), &fleet, 4, 4);
+                vec![batched.replans_per_sec / unbatched.replans_per_sec.max(1e-9)]
+            })
+            .collect()
+    });
     let restart = restart_recovery(8);
     println!(
         "service gate: restart re-planned {} tenants warm ({} cold, zero required).",
         restart.tenants, restart.cold_solves_after_restart
     );
+    verdicts
 }

@@ -285,7 +285,6 @@ struct TenantSlot {
     base: Platform,
     master: NodeId,
     scale: ParamScale,
-    current: Platform,
     throughput: f64,
     counters: TenantCounters,
     last_outcome: WarmOutcome,
@@ -354,20 +353,15 @@ impl Shard {
             Ok(g) => g,
             Err(_) => return, // corrupt record: skip, re-register later
         };
-        if rec.master >= base.num_nodes()
-            || rec.scale.w_mult.len() != base.num_nodes()
-            || rec.scale.c_mult.len() != base.num_edges()
-        {
+        if rec.master >= base.num_nodes() || !rec.scale.fits(&base) {
             return;
         }
-        let current = rec.scale.apply(&base);
         self.tenants.insert(
             rec.tenant,
             TenantSlot {
                 base,
                 master: NodeId(rec.master),
                 scale: rec.scale,
-                current,
                 throughput: rec.throughput,
                 counters: rec.counters,
                 last_outcome: WarmOutcome::Warm,
@@ -455,7 +449,6 @@ impl Shard {
         }
         let scale = ParamScale::nominal(&platform);
         let mut slot = TenantSlot {
-            current: platform.clone(),
             base: platform,
             master,
             scale,
@@ -486,9 +479,7 @@ impl Shard {
             }
             return;
         };
-        if scale.w_mult.len() != slot.base.num_nodes()
-            || scale.c_mult.len() != slot.base.num_edges()
-        {
+        if !scale.fits(&slot.base) {
             let err = Err(ServiceError::Solve(format!(
                 "drift scale shape mismatch for `{tenant}`: {}×{} factors on a {}-node \
                  {}-edge platform",
@@ -502,7 +493,6 @@ impl Shard {
             }
             return;
         }
-        slot.current = scale.apply(&slot.base);
         slot.scale = scale;
 
         // Deadline blown: answer every caller with the last good plan
@@ -578,7 +568,7 @@ impl Shard {
         let TenantState::Resident(sess) = &mut slot.state else {
             unreachable!("revive makes the slot resident")
         };
-        let out = match sess.certify(&slot.current) {
+        let out = match sess.certify(&slot.scale.apply(&slot.base)) {
             Err(e) => Err(ServiceError::Solve(e.to_string())),
             Ok(exact) => Ok(CertifiedRate {
                 f64_gap: (exact.objective_f64() - slot.throughput).abs(),
