@@ -20,6 +20,7 @@ use crate::scale::BACKEND_TOLERANCE;
 use crate::table::print_table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ss_core::drift::ParamScale;
 use ss_core::engine::{self, Formulation};
 use ss_core::master_slave::MasterSlave;
 use ss_core::session::{SessionSolve, SolveSession, SolveTelemetry};
@@ -27,7 +28,6 @@ use ss_core::WarmOutcome;
 use ss_lp::{Problem, Scalar, SimplexOptions, Solution};
 use ss_num::Ratio;
 use ss_platform::{NodeId, Platform};
-use ss_sim::dynamic::ParamScale;
 use std::time::Instant;
 
 /// Multiplicative drift: each node weight and edge cost is rescaled, with

@@ -4,12 +4,13 @@
 use crate::table::{banner, print_table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use ss_core::drift::ParamScale;
 use ss_core::{master_slave, model_variants};
 use ss_num::{BigInt, Ratio};
 use ss_platform::{paper, topo};
 use ss_schedule::coloring::{greedy_shared_port_schedule, shared_port_load_bound};
 use ss_schedule::{fixed_period as fp, reconstruct_master_slave, startup as su};
-use ss_sim::dynamic::{mean_throughput, simulate_policies, ParamScale};
+use ss_sim::dynamic::{mean_throughput, simulate_policies};
 
 /// §5.1.1: send-OR-receive — LP degradation, and the greedy general-graph
 /// orchestration vs its load lower bound (bipartite coloring no longer

@@ -172,8 +172,8 @@ pub fn single_round_bandwidth_order(
 /// task (§3.1 with tasks read as load units), so the LP is the SSMS LP;
 /// what the port buys is the engine pipeline: the exact backend returns a
 /// duality-certified rate, the `f64` backend serves the sweeps, and
-/// [`engine::cross_check`] / [`engine::kernel_cross_check`] keep the two
-/// honest — none of which the old free-function path offered.
+/// [`engine::cross_check`] keeps the two honest — none of which the old
+/// free-function path offered.
 #[derive(Clone, Debug)]
 pub struct Divisible {
     /// The node holding the load.
@@ -259,6 +259,7 @@ pub fn steady_state_rate_approx(g: &Platform, master: NodeId) -> Result<f64, Cor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ss_lp::{Kernel, SimplexOptions};
     use ss_platform::{topo, Weight};
 
     fn star(ws: &[(i64, i64)], wm: i64) -> (Platform, NodeId, Vec<NodeId>) {
@@ -375,7 +376,13 @@ mod tests {
         let cc = engine::cross_check(&Divisible::new(m), &g, 1e-6, |s| s.rate.clone()).unwrap();
         assert!(cc.abs_error <= 1e-6);
         // And both pivoting kernels on the f64 backend.
-        engine::kernel_cross_check(&Divisible::new(m), &g, 1e-6).unwrap();
+        let (lp, _) = Divisible::new(m).build(&g).unwrap();
+        let on = |kernel| {
+            engine::solve_problem_with::<f64>(&lp, &SimplexOptions::with_kernel(kernel))
+                .unwrap()
+                .objective_f64()
+        };
+        assert!((on(Kernel::Dense) - on(Kernel::SparseRevised)).abs() <= 1e-6);
         // The approximate rate tracks the exact one.
         let approx = steady_state_rate_approx(&g, m).unwrap();
         assert!((approx - rate.to_f64()).abs() <= 1e-6);

@@ -8,8 +8,6 @@
 //! `Drift(scale)` re-plans on the scaled platform through the cached
 //! lowering, while `Arrive`/`Depart` change the shape itself.
 
-use serde::ser::SerializeStruct as _;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use ss_num::Ratio;
 use ss_platform::{NodeId, Platform, Weight};
 
@@ -24,30 +22,20 @@ pub struct ParamScale {
     pub c_mult: Vec<Ratio>,
 }
 
-impl Serialize for ParamScale {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("ParamScale", 2)?;
-        st.serialize_field("w_mult", &self.w_mult)?;
-        st.serialize_field("c_mult", &self.c_mult)?;
-        st.end()
-    }
-}
+serde::fields!(ParamScale { w_mult, c_mult }, check = positive_factors);
 
-impl<'de> Deserialize<'de> for ParamScale {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<ParamScale, D::Error> {
-        let scale = ParamScale {
-            w_mult: Vec::deserialize(deserializer.clone().take_field("w_mult")?)?,
-            c_mult: Vec::deserialize(deserializer.take_field("c_mult")?)?,
-        };
-        if scale
-            .w_mult
-            .iter()
-            .chain(&scale.c_mult)
-            .any(|f| !f.is_positive())
-        {
-            return Err(serde::de::Error::custom("non-positive drift factor"));
-        }
-        Ok(scale)
+/// Decoded drift must be positive: a zero or negative factor would make
+/// the scaled platform meaningless.
+fn positive_factors(scale: &ParamScale) -> Result<(), &'static str> {
+    if scale
+        .w_mult
+        .iter()
+        .chain(&scale.c_mult)
+        .all(Ratio::is_positive)
+    {
+        Ok(())
+    } else {
+        Err("non-positive drift factor")
     }
 }
 

@@ -28,9 +28,9 @@
 //! Orthogonally to the scalar backend, every solve runs on a **pivoting
 //! kernel** (`ss-lp`'s dense tableau or sparse revised simplex). The
 //! default is the sparse revised simplex for both backends, exact `Ratio`
-//! included; [`kernel_cross_check`] pairs the kernels explicitly for the
-//! sweeps and the CI smoke guard (the dense tableau lives on as the
-//! cross-check reference).
+//! included; [`solve_problem_with`] pins either kernel explicitly, which is
+//! how the sweeps and the CI smoke guard keep the dense tableau as the
+//! cross-check reference.
 //!
 //! The module also hosts the LP-construction helpers shared by the
 //! formulations — the port-capacity rows for every §2/§5.1 communication
@@ -40,7 +40,7 @@
 
 use crate::error::CoreError;
 use crate::master_slave::PortModel;
-use ss_lp::{Cmp, Kernel, LinExpr, Problem, Scalar, SimplexOptions, Solution, Var};
+use ss_lp::{Cmp, LinExpr, Problem, Scalar, SimplexOptions, Solution, Var};
 use ss_num::Ratio;
 use ss_platform::{EdgeRef, Platform};
 
@@ -168,33 +168,6 @@ pub fn solve_problem_with<S: Scalar>(
     opts: &SimplexOptions,
 ) -> Result<Activities<S>, CoreError> {
     Ok(activities_from(p.solve_with::<S>(opts)?, p))
-}
-
-/// Solve `f` on `g` with the `f64` backend on **both** kernels and require
-/// objective agreement within `tol` (absolute). Returns
-/// `(dense, sparse)` activities — the kernel-regression guard used by the
-/// CI smoke experiment and the scaling sweeps.
-pub fn kernel_cross_check<F: Formulation>(
-    f: &F,
-    g: &Platform,
-    tol: f64,
-) -> Result<(Activities<f64>, Activities<f64>), CoreError> {
-    let (p, _) = f.build(g)?;
-    let on = |kernel| solve_problem_with::<f64>(&p, &SimplexOptions::with_kernel(kernel));
-    let dense = on(Kernel::Dense)?;
-    let sparse = on(Kernel::SparseRevised)?;
-    let abs_error = (dense.objective_f64() - sparse.objective_f64()).abs();
-    if abs_error > tol {
-        return Err(CoreError::Invalid(format!(
-            "{}: kernel disagreement: dense {} vs sparse {} (|Δ| = {:.3e} > tol {:.1e})",
-            f.name(),
-            dense.objective_f64(),
-            sparse.objective_f64(),
-            abs_error,
-            tol
-        )));
-    }
-    Ok((dense, sparse))
 }
 
 /// Solve exactly, verify the duality certificate, and extract the typed
@@ -454,17 +427,24 @@ mod tests {
     }
 
     #[test]
-    fn kernel_cross_check_accepts_and_reports() {
+    fn dense_and_sparse_kernels_agree_on_f64() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
+        use ss_lp::Kernel;
         let mut rng = StdRng::seed_from_u64(23);
         let (g, m) = topo::random_connected(&mut rng, 9, 0.3, &topo::ParamRange::default());
         let f = MasterSlave::new(m);
-        let (dense, sparse) = kernel_cross_check(&f, &g, 1e-6).unwrap();
-        assert!((dense.objective_f64() - sparse.objective_f64()).abs() <= 1e-6);
+        let (p, _) = f.build(&g).unwrap();
+        let on = |kernel| {
+            solve_problem_with::<f64>(&p, &SimplexOptions::with_kernel(kernel))
+                .unwrap()
+                .objective_f64()
+        };
+        let (dense, sparse) = (on(Kernel::Dense), on(Kernel::SparseRevised));
+        assert!((dense - sparse).abs() <= 1e-6);
         // And both kernel-pinned paths agree with the exact certified one.
         let exact = solve(&f, &g).unwrap();
-        assert!((exact.ntask.to_f64() - sparse.objective_f64()).abs() <= 1e-6);
+        assert!((exact.ntask.to_f64() - sparse).abs() <= 1e-6);
     }
 
     #[test]

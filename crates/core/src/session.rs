@@ -17,8 +17,8 @@
 //! kernel's bounded repair ladder instead of a refactorizing cold solve.
 //! Only an unmatchable shape (or a disabled layout capture) falls back
 //! cold; the [`SolveTelemetry`] on every result records which path ran,
-//! any [`ShapeMismatch`](ss_lp::ShapeMismatch) diagnosed, and the
-//! [`EditSummary`](ss_lp::EditSummary) of any migration performed.
+//! any [`ShapeMismatch`] diagnosed, and the
+//! [`EditSummary`] of any migration performed.
 //!
 //! The **event API** ([`SolveSession::apply`]) is the online entry point:
 //! a [`SessionEvent`] is either parameter [`Drift`](SessionEvent::Drift)

@@ -34,6 +34,14 @@ fn exact_on<F: Formulation>(f: &F, g: &Platform, kernel: Kernel) -> engine::Acti
     engine::solve_problem_with(&lp, &SimplexOptions::with_kernel(kernel)).unwrap()
 }
 
+/// `f`'s objective on the `f64` backend under `kernel`.
+fn f64_on<F: Formulation>(f: &F, g: &Platform, kernel: Kernel) -> f64 {
+    let (lp, _) = f.build(g).unwrap();
+    engine::solve_problem_with::<f64>(&lp, &SimplexOptions::with_kernel(kernel))
+        .unwrap()
+        .objective_f64()
+}
+
 fn assert_close(name: &str, exact: &Ratio, approx: f64) -> Result<(), TestCaseError> {
     let e = exact.to_f64();
     prop_assert!(
@@ -82,8 +90,9 @@ proptest! {
     #[test]
     fn kernels_agree_on_f64_master_slave(seed in 0u64..10_000, p in 3usize..9, dense in 0u8..2) {
         let (g, m) = random_platform(seed, p, if dense == 0 { 0.2 } else { 0.5 });
-        let (d, s) = engine::kernel_cross_check(&MasterSlave::new(m), &g, TOL).unwrap();
-        prop_assert!((d.objective_f64() - s.objective_f64()).abs() <= TOL);
+        let f = MasterSlave::new(m);
+        let (d, s) = (f64_on(&f, &g, Kernel::Dense), f64_on(&f, &g, Kernel::SparseRevised));
+        prop_assert!((d - s).abs() <= TOL);
     }
 
     /// Sparse-exact: where the sparse kernel runs on the exact `Ratio`
@@ -117,7 +126,8 @@ proptest! {
         let f = ss_core::divisible::Divisible::new(m);
         let cc = engine::cross_check(&f, &g, TOL, |s| s.rate.clone()).unwrap();
         prop_assert!(cc.abs_error <= TOL);
-        engine::kernel_cross_check(&f, &g, TOL).unwrap();
+        let (d, s) = (f64_on(&f, &g, Kernel::Dense), f64_on(&f, &g, Kernel::SparseRevised));
+        prop_assert!((d - s).abs() <= TOL);
     }
 }
 

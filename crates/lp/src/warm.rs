@@ -96,6 +96,27 @@ impl std::fmt::Display for WarmOutcome {
     }
 }
 
+impl std::str::FromStr for WarmOutcome {
+    type Err = String;
+
+    /// The inverse of `Display`.
+    fn from_str(s: &str) -> Result<WarmOutcome, String> {
+        [
+            WarmOutcome::Cold,
+            WarmOutcome::Warm,
+            WarmOutcome::DualRepaired,
+            WarmOutcome::Repaired,
+            WarmOutcome::ColdFallback,
+        ]
+        .into_iter()
+        .find(|o| o.to_string() == s)
+        .ok_or_else(|| format!("unknown warm outcome `{s}`"))
+    }
+}
+
+// Telemetry frames carry the outcome as its `Display` string.
+serde::fields!(WarmOutcome as str);
+
 /// Why a [`WarmStart`] cannot seed a given [`StandardForm`]: the snapshot
 /// was captured from a form of a different shape.
 ///
@@ -314,6 +335,16 @@ mod tests {
         assert!(!WarmOutcome::ColdFallback.used_warm_basis());
         assert_eq!(WarmOutcome::ColdFallback.to_string(), "cold-fallback");
         assert_eq!(WarmOutcome::DualRepaired.to_string(), "dual-repaired");
+        for o in [
+            WarmOutcome::Cold,
+            WarmOutcome::Warm,
+            WarmOutcome::DualRepaired,
+            WarmOutcome::Repaired,
+            WarmOutcome::ColdFallback,
+        ] {
+            assert_eq!(o.to_string().parse::<WarmOutcome>(), Ok(o));
+        }
+        assert!("lukewarm".parse::<WarmOutcome>().is_err());
     }
 
     #[test]

@@ -7,14 +7,10 @@
 //! re-validated on load.
 
 use crate::graph::{NodeId, Platform, PlatformError, Weight};
-use serde::ser::SerializeStruct as _;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use ss_num::Ratio;
 
 /// Serializable node: `w == None` encodes `w_i = +∞` (forwarding-only).
-///
-/// The `Serialize`/`Deserialize` impls are hand-written (the offline serde
-/// shim ships no derive macro); field names are the wire format.
+/// Field names are the wire format (see the `serde::fields!` lines below).
 #[derive(Clone, Debug, PartialEq)]
 pub struct NodeSpec {
     /// Node name.
@@ -43,61 +39,9 @@ pub struct PlatformSpec {
     pub edges: Vec<EdgeSpec>,
 }
 
-impl Serialize for NodeSpec {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("NodeSpec", 2)?;
-        st.serialize_field("name", &self.name)?;
-        st.serialize_field("w", &self.w)?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for NodeSpec {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<NodeSpec, D::Error> {
-        Ok(NodeSpec {
-            name: String::deserialize(deserializer.clone().take_field("name")?)?,
-            w: Option::<Ratio>::deserialize(deserializer.take_field("w")?)?,
-        })
-    }
-}
-
-impl Serialize for EdgeSpec {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("EdgeSpec", 3)?;
-        st.serialize_field("src", &self.src)?;
-        st.serialize_field("dst", &self.dst)?;
-        st.serialize_field("c", &self.c)?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for EdgeSpec {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<EdgeSpec, D::Error> {
-        Ok(EdgeSpec {
-            src: usize::deserialize(deserializer.clone().take_field("src")?)?,
-            dst: usize::deserialize(deserializer.clone().take_field("dst")?)?,
-            c: Ratio::deserialize(deserializer.take_field("c")?)?,
-        })
-    }
-}
-
-impl Serialize for PlatformSpec {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("PlatformSpec", 2)?;
-        st.serialize_field("nodes", &self.nodes)?;
-        st.serialize_field("edges", &self.edges)?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for PlatformSpec {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<PlatformSpec, D::Error> {
-        Ok(PlatformSpec {
-            nodes: Vec::deserialize(deserializer.clone().take_field("nodes")?)?,
-            edges: Vec::deserialize(deserializer.take_field("edges")?)?,
-        })
-    }
-}
+serde::fields!(NodeSpec { name, w });
+serde::fields!(EdgeSpec { src, dst, c });
+serde::fields!(PlatformSpec { nodes, edges });
 
 impl PlatformSpec {
     /// Capture a [`Platform`] into its serializable form.

@@ -7,8 +7,8 @@ use crate::protocol::{
 };
 use crate::worker::{Replier, Request, ShardQueue, SnapshotReply};
 use crate::{shard_of, CertifiedRate, RateReport, Replan, ServiceError, SnapshotReport};
+use ss_core::drift::ParamScale;
 use ss_platform::{NodeId, Platform, PlatformSpec};
-use ss_sim::dynamic::ParamScale;
 use std::collections::HashMap;
 use std::fmt;
 use std::io;

@@ -18,11 +18,9 @@
 //! skipped (the tenant just re-registers cold), never trusted.
 
 use crate::worker::TenantCounters;
-use serde::ser::SerializeStruct as _;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use ss_core::drift::ParamScale;
 use ss_lp::WarmStart;
 use ss_platform::PlatformSpec;
-use ss_sim::dynamic::ParamScale;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -45,69 +43,28 @@ pub struct TenantRecord {
     pub counters: TenantCounters,
 }
 
-impl Serialize for TenantCounters {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("TenantCounters", 11)?;
-        st.serialize_field("served", &self.served)?;
-        st.serialize_field("lp_solves", &self.lp_solves)?;
-        st.serialize_field("warm", &self.warm)?;
-        st.serialize_field("dual_repaired", &self.dual_repaired)?;
-        st.serialize_field("repaired", &self.repaired)?;
-        st.serialize_field("cold", &self.cold)?;
-        st.serialize_field("cold_fallback", &self.cold_fallback)?;
-        st.serialize_field("iterations", &self.iterations)?;
-        st.serialize_field("stale_served", &self.stale_served)?;
-        st.serialize_field("coalesced", &self.coalesced)?;
-        st.serialize_field("lowering_reuses", &self.lowering_reuses)?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for TenantCounters {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<TenantCounters, D::Error> {
-        Ok(TenantCounters {
-            served: usize::deserialize(d.clone().take_field("served")?)?,
-            lp_solves: usize::deserialize(d.clone().take_field("lp_solves")?)?,
-            warm: usize::deserialize(d.clone().take_field("warm")?)?,
-            dual_repaired: usize::deserialize(d.clone().take_field("dual_repaired")?)?,
-            repaired: usize::deserialize(d.clone().take_field("repaired")?)?,
-            cold: usize::deserialize(d.clone().take_field("cold")?)?,
-            cold_fallback: usize::deserialize(d.clone().take_field("cold_fallback")?)?,
-            iterations: usize::deserialize(d.clone().take_field("iterations")?)?,
-            stale_served: usize::deserialize(d.clone().take_field("stale_served")?)?,
-            coalesced: usize::deserialize(d.clone().take_field("coalesced")?)?,
-            lowering_reuses: usize::deserialize(d.take_field("lowering_reuses")?)?,
-        })
-    }
-}
-
-impl Serialize for TenantRecord {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("TenantRecord", 7)?;
-        st.serialize_field("tenant", &self.tenant)?;
-        st.serialize_field("platform", &self.platform)?;
-        st.serialize_field("master", &self.master)?;
-        st.serialize_field("scale", &self.scale)?;
-        st.serialize_field("throughput", &self.throughput)?;
-        st.serialize_field("warm", &self.warm)?;
-        st.serialize_field("counters", &self.counters)?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for TenantRecord {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<TenantRecord, D::Error> {
-        Ok(TenantRecord {
-            tenant: String::deserialize(d.clone().take_field("tenant")?)?,
-            platform: PlatformSpec::deserialize(d.clone().take_field("platform")?)?,
-            master: usize::deserialize(d.clone().take_field("master")?)?,
-            scale: ParamScale::deserialize(d.clone().take_field("scale")?)?,
-            throughput: f64::deserialize(d.clone().take_field("throughput")?)?,
-            warm: Option::<WarmStart>::deserialize(d.clone().take_field("warm")?)?,
-            counters: TenantCounters::deserialize(d.take_field("counters")?)?,
-        })
-    }
-}
+serde::fields!(TenantCounters {
+    served,
+    lp_solves,
+    warm,
+    dual_repaired,
+    repaired,
+    cold,
+    cold_fallback,
+    iterations,
+    stale_served,
+    coalesced,
+    lowering_reuses,
+});
+serde::fields!(TenantRecord {
+    tenant,
+    platform,
+    master,
+    scale,
+    throughput,
+    warm,
+    counters,
+});
 
 /// Map a tenant id to a filesystem-safe file stem: alphanumerics, `-`,
 /// `_` and `.` pass through, everything else is `%xx`-escaped (so
@@ -170,6 +127,16 @@ mod tests {
     use super::*;
     use ss_num::Ratio;
 
+    /// A full journal record, `WarmStart` included, pinned byte for byte:
+    /// a restarted service must read what the previous one wrote.
+    #[test]
+    fn journal_records_keep_their_bytes() {
+        let wire = r#"{"tenant":"acme","platform":{"nodes":[{"name":"m","w":"3/2"},{"name":"r","w":null}],"edges":[{"src":0,"dst":1,"c":"1/4"}]},"master":0,"scale":{"w_mult":["1","3/2"],"c_mult":["1/4"]},"throughput":1.25,"warm":{"m":2,"ncols":5,"art_start":3,"basis":[0,4],"at_upper":[0,1,0,0,0]},"counters":{"served":7,"lp_solves":5,"warm":3,"dual_repaired":1,"repaired":0,"cold":1,"cold_fallback":0,"iterations":42,"stale_served":2,"coalesced":2,"lowering_reuses":4}}"#;
+        let rec: TenantRecord = serde_json::from_str(wire).unwrap();
+        assert!(rec.warm.as_ref().unwrap().at_upper()[1]);
+        assert_eq!(serde_json::to_string(&rec).unwrap(), wire);
+    }
+
     #[test]
     fn tenant_records_round_trip_through_disk() {
         let dir = std::env::temp_dir().join(format!("ss-persist-test-{}", std::process::id()));
@@ -211,8 +178,10 @@ mod tests {
         assert_eq!(w.basis(), &[0, 4]);
         assert_eq!(w.num_rows(), 2);
 
-        // A corrupt record is skipped, not fatal.
+        // A corrupt record is skipped, not fatal; so is one nested deeper
+        // than the parser recurses.
         std::fs::write(dir.join("broken.json"), "{ not json").unwrap();
+        std::fs::write(dir.join("deep.json"), "[".repeat(10_000)).unwrap();
         assert_eq!(load_all(&dir).len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

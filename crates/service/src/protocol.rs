@@ -29,12 +29,10 @@
 //! the server.
 
 use crate::{CertifiedRate, RateReport, Replan, ServiceError, SnapshotReport};
-use serde::ser::SerializeStruct as _;
+use serde::ser::SerializeStruct;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
-use ss_core::WarmOutcome;
-use ss_num::Ratio;
+use ss_core::drift::ParamScale;
 use ss_platform::PlatformSpec;
-use ss_sim::dynamic::ParamScale;
 use std::io::{self, Read, Write};
 
 /// Upper bound on a frame payload; a declared length beyond this is
@@ -129,139 +127,43 @@ impl From<SnapshotReport> for ResponseBody {
 }
 
 // ---------------------------------------------------------------------------
-// Serde impls (hand-written; the offline shim has no derive macro).
+// Wire forms. Plain structs are their field lists; the three tagged types
+// below are hand-written.
 // ---------------------------------------------------------------------------
 
-fn outcome_str(o: WarmOutcome) -> &'static str {
-    match o {
-        WarmOutcome::Cold => "cold",
-        WarmOutcome::Warm => "warm",
-        WarmOutcome::DualRepaired => "dual-repaired",
-        WarmOutcome::Repaired => "repaired",
-        WarmOutcome::ColdFallback => "cold-fallback",
-    }
-}
-
-fn outcome_from_str<E: serde::de::Error>(s: &str) -> Result<WarmOutcome, E> {
-    Ok(match s {
-        "cold" => WarmOutcome::Cold,
-        "warm" => WarmOutcome::Warm,
-        "dual-repaired" => WarmOutcome::DualRepaired,
-        "repaired" => WarmOutcome::Repaired,
-        "cold-fallback" => WarmOutcome::ColdFallback,
-        other => return Err(E::custom(format!("unknown warm outcome `{other}`"))),
-    })
-}
-
-impl Serialize for Replan {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("Replan", 12)?;
-        st.serialize_field("tenant", &self.tenant)?;
-        st.serialize_field("throughput", &self.throughput)?;
-        st.serialize_field("outcome", outcome_str(self.outcome))?;
-        st.serialize_field("iterations", &self.iterations)?;
-        st.serialize_field("solve_ms", &self.solve_ms)?;
-        st.serialize_field("priced_columns", &self.priced_columns)?;
-        st.serialize_field("pricing_ms", &self.pricing_ms)?;
-        st.serialize_field("factor_ms", &self.factor_ms)?;
-        st.serialize_field("factor_nnz", &self.factor_nnz)?;
-        st.serialize_field("fill_ratio", &self.fill_ratio)?;
-        st.serialize_field("stale", &self.stale)?;
-        st.serialize_field("coalesced", &self.coalesced)?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for Replan {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Replan, D::Error> {
-        Ok(Replan {
-            tenant: String::deserialize(d.clone().take_field("tenant")?)?,
-            throughput: f64::deserialize(d.clone().take_field("throughput")?)?,
-            outcome: outcome_from_str(&d.clone().take_field("outcome")?.take_str()?)?,
-            iterations: usize::deserialize(d.clone().take_field("iterations")?)?,
-            solve_ms: f64::deserialize(d.clone().take_field("solve_ms")?)?,
-            priced_columns: usize::deserialize(d.clone().take_field("priced_columns")?)?,
-            pricing_ms: f64::deserialize(d.clone().take_field("pricing_ms")?)?,
-            factor_ms: f64::deserialize(d.clone().take_field("factor_ms")?)?,
-            factor_nnz: usize::deserialize(d.clone().take_field("factor_nnz")?)?,
-            fill_ratio: f64::deserialize(d.clone().take_field("fill_ratio")?)?,
-            stale: bool::deserialize(d.clone().take_field("stale")?)?,
-            coalesced: usize::deserialize(d.take_field("coalesced")?)?,
-        })
-    }
-}
-
-impl Serialize for RateReport {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("RateReport", 11)?;
-        st.serialize_field("tenant", &self.tenant)?;
-        st.serialize_field("throughput", &self.throughput)?;
-        st.serialize_field("solves", &self.solves)?;
-        st.serialize_field("lp_solves", &self.lp_solves)?;
-        st.serialize_field("warm_fraction", &self.warm_fraction)?;
-        st.serialize_field("dual_repaired", &self.dual_repaired)?;
-        st.serialize_field("stale_served", &self.stale_served)?;
-        st.serialize_field("coalesced", &self.coalesced)?;
-        st.serialize_field("resident", &self.resident)?;
-        st.serialize_field("last_fill_ratio", &self.last_fill_ratio)?;
-        st.serialize_field("last_factor_nnz", &self.last_factor_nnz)?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for RateReport {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<RateReport, D::Error> {
-        Ok(RateReport {
-            tenant: String::deserialize(d.clone().take_field("tenant")?)?,
-            throughput: f64::deserialize(d.clone().take_field("throughput")?)?,
-            solves: usize::deserialize(d.clone().take_field("solves")?)?,
-            lp_solves: usize::deserialize(d.clone().take_field("lp_solves")?)?,
-            warm_fraction: f64::deserialize(d.clone().take_field("warm_fraction")?)?,
-            dual_repaired: usize::deserialize(d.clone().take_field("dual_repaired")?)?,
-            stale_served: usize::deserialize(d.clone().take_field("stale_served")?)?,
-            coalesced: usize::deserialize(d.clone().take_field("coalesced")?)?,
-            resident: bool::deserialize(d.clone().take_field("resident")?)?,
-            last_fill_ratio: f64::deserialize(d.clone().take_field("last_fill_ratio")?)?,
-            last_factor_nnz: usize::deserialize(d.take_field("last_factor_nnz")?)?,
-        })
-    }
-}
-
-impl Serialize for CertifiedRate {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("CertifiedRate", 3)?;
-        st.serialize_field("tenant", &self.tenant)?;
-        st.serialize_field("exact", &self.exact)?;
-        st.serialize_field("f64_gap", &self.f64_gap)?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for CertifiedRate {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<CertifiedRate, D::Error> {
-        Ok(CertifiedRate {
-            tenant: String::deserialize(d.clone().take_field("tenant")?)?,
-            exact: Ratio::deserialize(d.clone().take_field("exact")?)?,
-            f64_gap: f64::deserialize(d.take_field("f64_gap")?)?,
-        })
-    }
-}
-
-impl Serialize for SnapshotReport {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("SnapshotReport", 1)?;
-        st.serialize_field("persisted", &self.persisted)?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for SnapshotReport {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<SnapshotReport, D::Error> {
-        Ok(SnapshotReport {
-            persisted: usize::deserialize(d.take_field("persisted")?)?,
-        })
-    }
-}
+serde::fields!(Replan {
+    tenant,
+    throughput,
+    outcome,
+    iterations,
+    solve_ms,
+    priced_columns,
+    pricing_ms,
+    factor_ms,
+    factor_nnz,
+    fill_ratio,
+    stale,
+    coalesced,
+});
+serde::fields!(RateReport {
+    tenant,
+    throughput,
+    solves,
+    lp_solves,
+    warm_fraction,
+    dual_repaired,
+    stale_served,
+    coalesced,
+    resident,
+    last_fill_ratio,
+    last_factor_nnz,
+});
+serde::fields!(CertifiedRate {
+    tenant,
+    exact,
+    f64_gap
+});
+serde::fields!(SnapshotReport { persisted });
 
 impl Serialize for ServiceError {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
@@ -298,49 +200,35 @@ impl<'de> Deserialize<'de> for ServiceError {
 
 impl Serialize for RequestFrame {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut st = serializer.serialize_struct("RequestFrame", 5)?;
+        st.serialize_field("seq", &self.seq)?;
         match &self.body {
             RequestBody::Register {
                 tenant,
                 platform,
                 master,
             } => {
-                let mut st = serializer.serialize_struct("RequestFrame", 5)?;
-                st.serialize_field("seq", &self.seq)?;
                 st.serialize_field("op", "register")?;
                 st.serialize_field("tenant", tenant)?;
                 st.serialize_field("platform", platform)?;
                 st.serialize_field("master", master)?;
-                st.end()
             }
             RequestBody::Update { tenant, scale } => {
-                let mut st = serializer.serialize_struct("RequestFrame", 4)?;
-                st.serialize_field("seq", &self.seq)?;
                 st.serialize_field("op", "update")?;
                 st.serialize_field("tenant", tenant)?;
                 st.serialize_field("scale", scale)?;
-                st.end()
             }
             RequestBody::Rate { tenant } => {
-                let mut st = serializer.serialize_struct("RequestFrame", 3)?;
-                st.serialize_field("seq", &self.seq)?;
                 st.serialize_field("op", "rate")?;
                 st.serialize_field("tenant", tenant)?;
-                st.end()
             }
             RequestBody::Certify { tenant } => {
-                let mut st = serializer.serialize_struct("RequestFrame", 3)?;
-                st.serialize_field("seq", &self.seq)?;
                 st.serialize_field("op", "certify")?;
                 st.serialize_field("tenant", tenant)?;
-                st.end()
             }
-            RequestBody::Snapshot => {
-                let mut st = serializer.serialize_struct("RequestFrame", 2)?;
-                st.serialize_field("seq", &self.seq)?;
-                st.serialize_field("op", "snapshot")?;
-                st.end()
-            }
+            RequestBody::Snapshot => st.serialize_field("op", "snapshot")?,
         }
+        st.end()
     }
 }
 
@@ -377,31 +265,24 @@ impl<'de> Deserialize<'de> for RequestFrame {
 
 impl Serialize for ResponseFrame {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        fn tagged<St: SerializeStruct, T: Serialize>(
+            mut st: St,
+            kind: &str,
+            body: &T,
+        ) -> Result<St::Ok, St::Error> {
+            st.serialize_field("kind", kind)?;
+            st.serialize_field("body", body)?;
+            st.end()
+        }
         let mut st = serializer.serialize_struct("ResponseFrame", 3)?;
         st.serialize_field("seq", &self.seq)?;
         match &self.body {
-            ResponseBody::Replan(v) => {
-                st.serialize_field("kind", "replan")?;
-                st.serialize_field("body", v)?;
-            }
-            ResponseBody::Rate(v) => {
-                st.serialize_field("kind", "rate")?;
-                st.serialize_field("body", v)?;
-            }
-            ResponseBody::Certified(v) => {
-                st.serialize_field("kind", "certified")?;
-                st.serialize_field("body", v)?;
-            }
-            ResponseBody::Snapshot(v) => {
-                st.serialize_field("kind", "snapshot")?;
-                st.serialize_field("body", v)?;
-            }
-            ResponseBody::Error(e) => {
-                st.serialize_field("kind", "error")?;
-                st.serialize_field("body", e)?;
-            }
+            ResponseBody::Replan(v) => tagged(st, "replan", v),
+            ResponseBody::Rate(v) => tagged(st, "rate", v),
+            ResponseBody::Certified(v) => tagged(st, "certified", v),
+            ResponseBody::Snapshot(v) => tagged(st, "snapshot", v),
+            ResponseBody::Error(e) => tagged(st, "error", e),
         }
-        st.end()
     }
 }
 
@@ -527,6 +408,7 @@ impl FrameBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ss_num::Ratio;
 
     #[test]
     fn request_frames_round_trip() {
@@ -592,6 +474,44 @@ mod tests {
                 ResponseBody::Error(e) => assert_eq!(e, err),
                 other => panic!("wrong body: {other:?}"),
             }
+        }
+    }
+
+    /// Decode `wire` and encode the value again: the bytes must not move.
+    fn assert_golden<T: Serialize + for<'de> Deserialize<'de>>(wire: &str) {
+        let value: T = serde_json::from_str(wire).unwrap();
+        assert_eq!(serde_json::to_string(&value).unwrap(), wire);
+    }
+
+    /// One frame per request op, pinned byte for byte.
+    #[test]
+    fn request_frames_keep_their_bytes() {
+        for wire in [
+            r#"{"seq":1,"op":"register","tenant":"acme","platform":{"nodes":[{"name":"m","w":"3/2"},{"name":"r","w":null}],"edges":[{"src":0,"dst":1,"c":"1/4"}]},"master":0}"#,
+            r#"{"seq":2,"op":"update","tenant":"acme","scale":{"w_mult":["1","3/2"],"c_mult":["1/4"]}}"#,
+            r#"{"seq":3,"op":"rate","tenant":"acme"}"#,
+            r#"{"seq":4,"op":"certify","tenant":"acme"}"#,
+            r#"{"seq":5,"op":"snapshot"}"#,
+        ] {
+            assert_golden::<RequestFrame>(wire);
+        }
+    }
+
+    /// One frame per response kind and per error code, pinned byte for
+    /// byte.
+    #[test]
+    fn response_frames_keep_their_bytes() {
+        for wire in [
+            r#"{"seq":10,"kind":"replan","body":{"tenant":"acme","throughput":1.25,"outcome":"dual-repaired","iterations":7,"solve_ms":0.5,"priced_columns":42,"pricing_ms":0.125,"factor_ms":0.25,"factor_nnz":19,"fill_ratio":1.5,"stale":false,"coalesced":2}}"#,
+            r#"{"seq":11,"kind":"rate","body":{"tenant":"acme","throughput":1.25,"solves":9,"lp_solves":8,"warm_fraction":0.75,"dual_repaired":3,"stale_served":1,"coalesced":1,"resident":true,"last_fill_ratio":1.5,"last_factor_nnz":19}}"#,
+            r#"{"seq":12,"kind":"certified","body":{"tenant":"acme","exact":"5/4","f64_gap":0.0}}"#,
+            r#"{"seq":13,"kind":"snapshot","body":{"persisted":3}}"#,
+            r#"{"seq":14,"kind":"error","body":{"code":"unknown-tenant","detail":"ghost"}}"#,
+            r#"{"seq":15,"kind":"error","body":{"code":"duplicate-tenant","detail":"acme"}}"#,
+            r#"{"seq":16,"kind":"error","body":{"code":"solve","detail":"infeasible"}}"#,
+            r#"{"seq":17,"kind":"error","body":{"code":"disconnected","detail":""}}"#,
+        ] {
+            assert_golden::<ResponseFrame>(wire);
         }
     }
 

@@ -4,10 +4,10 @@ use crate::worker::{Replier, Request, ShardQueue};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ss_core::drift::ParamScale;
 use ss_lp::WarmStart;
 use ss_num::Ratio;
 use ss_platform::{topo, NodeId, Platform};
-use ss_sim::dynamic::ParamScale;
 use std::path::PathBuf;
 use std::sync::mpsc::channel;
 
@@ -329,6 +329,41 @@ fn socket_clients_speak_the_frame_protocol() {
         SocketError::Service(ServiceError::Solve(_))
     ));
 
+    handle.stop();
+    service.shutdown();
+}
+
+#[test]
+fn a_deeply_nested_frame_drops_only_its_own_connection() {
+    use std::io::{Read, Write};
+    let service = Service::spawn(ServiceConfig::builder().workers(1).build().unwrap());
+    let handle = service.listen("127.0.0.1:0").unwrap();
+    let (g, m) = tenant_platform(41, 6);
+    SocketClient::connect(handle.addr())
+        .unwrap()
+        .register("deep", &g, m)
+        .unwrap();
+
+    // 10 KB of `[`: far under MAX_FRAME, far deeper than the parser
+    // recurses.
+    let payload = "[".repeat(10_000);
+    let mut hostile = std::net::TcpStream::connect(handle.addr()).unwrap();
+    hostile
+        .write_all(&(payload.len() as u32).to_le_bytes())
+        .unwrap();
+    hostile.write_all(payload.as_bytes()).unwrap();
+    hostile
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    match hostile.read(&mut [0u8; 1]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("hostile connection not dropped: {other:?}"),
+    }
+
+    // The reactor survived: a second client is still served.
+    let mut sock = SocketClient::connect(handle.addr()).unwrap();
+    assert!(sock.rate("deep").unwrap().throughput > 0.0);
     handle.stop();
     service.shutdown();
 }

@@ -287,10 +287,9 @@ struct TenantSlot {
     scale: ParamScale,
     throughput: f64,
     counters: TenantCounters,
-    last_outcome: WarmOutcome,
-    last_factor_ms: f64,
-    last_factor_nnz: usize,
-    last_fill_ratio: f64,
+    /// The last plan a solve served; `None` before this process solved
+    /// for the tenant (also after a reload from disk).
+    last: Option<Replan>,
     /// EWMA of recent solve wall-clock; what the deadline check consults.
     ewma_ms: f64,
     last_used: u64,
@@ -364,10 +363,7 @@ impl Shard {
                 scale: rec.scale,
                 throughput: rec.throughput,
                 counters: rec.counters,
-                last_outcome: WarmOutcome::Warm,
-                last_factor_ms: 0.0,
-                last_factor_nnz: 0,
-                last_fill_ratio: 0.0,
+                last: None,
                 ewma_ms: 0.0,
                 last_used: 0,
                 state: TenantState::Parked(rec.warm),
@@ -454,10 +450,7 @@ impl Shard {
             scale,
             throughput: 0.0,
             counters: TenantCounters::default(),
-            last_outcome: WarmOutcome::Cold,
-            last_factor_ms: 0.0,
-            last_factor_nnz: 0,
-            last_fill_ratio: 0.0,
+            last: None,
             ewma_ms: 0.0,
             last_used: 0,
             state: TenantState::Parked(None),
@@ -497,23 +490,19 @@ impl Shard {
 
         // Deadline blown: answer every caller with the last good plan
         // now, then finish the fresh solve off their critical path.
-        let serve_stale =
-            matches!(cfg_deadline, Some(d) if slot.counters.lp_solves > 0 && slot.ewma_ms > d);
-        if serve_stale {
-            let stale = Replan {
-                tenant: tenant.to_string(),
-                throughput: slot.throughput,
-                outcome: slot.last_outcome,
+        let stale = match (&slot.last, cfg_deadline) {
+            (Some(last), Some(d)) if slot.ewma_ms > d => Some(Replan {
                 iterations: 0,
                 solve_ms: 0.0,
                 priced_columns: 0,
                 pricing_ms: 0.0,
-                factor_ms: slot.last_factor_ms,
-                factor_nnz: slot.last_factor_nnz,
-                fill_ratio: slot.last_fill_ratio,
                 stale: true,
                 coalesced: replies.len(),
-            };
+                ..last.clone()
+            }),
+            _ => None,
+        };
+        if let Some(stale) = stale {
             slot.counters.served += replies.len();
             slot.counters.stale_served += replies.len();
             slot.counters.coalesced += replies.len().saturating_sub(1);
@@ -555,8 +544,8 @@ impl Shard {
             stale_served: slot.counters.stale_served,
             coalesced: slot.counters.coalesced,
             resident: matches!(slot.state, TenantState::Resident(_)),
-            last_fill_ratio: slot.last_fill_ratio,
-            last_factor_nnz: slot.last_factor_nnz,
+            last_fill_ratio: slot.last.as_ref().map_or(0.0, |r| r.fill_ratio),
+            last_factor_nnz: slot.last.as_ref().map_or(0, |r| r.factor_nnz),
         })
     }
 
@@ -619,7 +608,7 @@ impl Shard {
 }
 
 /// Run the tenant's LP (reviving a parked session first) and update the
-/// slot's plan, telemetry mirrors and EWMA.
+/// slot's plan and EWMA.
 fn solve_slot(
     tenant: &str,
     slot: &mut TenantSlot,
@@ -634,10 +623,6 @@ fn solve_slot(
         Ok(s) => {
             let t = &s.telemetry;
             slot.throughput = s.activities.objective_f64();
-            slot.last_outcome = t.outcome;
-            slot.last_factor_ms = t.factor_ms;
-            slot.last_factor_nnz = t.factor_nnz;
-            slot.last_fill_ratio = t.fill_ratio;
             slot.ewma_ms = if slot.counters.lp_solves == 0 {
                 t.solve_ms
             } else {
@@ -645,7 +630,7 @@ fn solve_slot(
             };
             slot.counters
                 .record_solve(t.outcome, t.iterations, t.lowering_reused);
-            Ok(Replan {
+            let plan = Replan {
                 tenant: tenant.to_string(),
                 throughput: slot.throughput,
                 outcome: t.outcome,
@@ -658,7 +643,9 @@ fn solve_slot(
                 fill_ratio: t.fill_ratio,
                 stale: false,
                 coalesced,
-            })
+            };
+            slot.last = Some(plan.clone());
+            Ok(plan)
         }
     }
 }

@@ -36,15 +36,12 @@
 //! communication span and the compute spans, and the plan still completes
 //! its fixed task count per period.
 
+use ss_core::drift::ParamScale;
 use ss_core::master_slave::{self, MasterSlave};
 use ss_core::session::{SessionEvent, SolveSession, SolveTelemetry};
 use ss_num::Ratio;
 use ss_platform::{NodeId, Platform};
 use ss_schedule::{reconstruct_master_slave, PeriodicSchedule};
-
-// ParamScale moved next to the session-event API it feeds; the re-export
-// keeps `ss_sim::dynamic::ParamScale` paths working.
-pub use ss_core::drift::ParamScale;
 
 /// Exact throughput of a fixed plan (solved on `planned` parameters)
 /// executed while the platform actually runs at `actual` parameters.

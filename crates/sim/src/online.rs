@@ -6,7 +6,7 @@
 //! the other half of §5.5's adaptivity argument: **resources join and
 //! leave** while the master keeps serving a stream of jobs. Every churn
 //! event re-plans the steady-state LP through a
-//! [`SolveSession`](ss_core::SolveSession) — the session migrates the live
+//! [`SolveSession`] — the session migrates the live
 //! basis onto the grown/shrunk LP (see `ss_lp::EditPlan`), so a re-plan
 //! costs a handful of repair pivots instead of a cold refactorizing solve.
 //!

@@ -8,13 +8,13 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ss_core::drift::ParamScale;
 use ss_core::master_slave::MasterSlave;
 use ss_core::session::SolveSession;
 use ss_core::{engine, WarmOutcome};
 use ss_lp::{Kernel, SimplexOptions};
 use ss_num::Ratio;
 use ss_platform::{topo, Platform};
-use ss_sim::dynamic::ParamScale;
 
 fn random_platform(seed: u64, p: usize) -> (Platform, ss_platform::NodeId) {
     let mut rng = StdRng::seed_from_u64(seed);

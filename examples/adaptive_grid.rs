@@ -17,9 +17,10 @@
 //! cargo run --release --example adaptive_grid
 //! ```
 
+use steadystate::core::drift::ParamScale;
 use steadystate::num::Ratio;
 use steadystate::platform::paper;
-use steadystate::sim::dynamic::{mean_throughput, simulate_policies, ParamScale};
+use steadystate::sim::dynamic::{mean_throughput, simulate_policies};
 
 fn main() {
     let (g, master) = paper::fig1();

@@ -11,10 +11,10 @@
 //! cargo run --release --example service_socket
 //! ```
 
+use steadystate::core::drift::ParamScale;
 use steadystate::num::Ratio;
 use steadystate::platform::topo;
 use steadystate::service::{Service, ServiceConfig, SocketClient, SocketError};
-use steadystate::sim::dynamic::ParamScale;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -16,10 +16,10 @@
 //! cargo run --release --example tenant_service
 //! ```
 
+use steadystate::core::drift::ParamScale;
 use steadystate::num::Ratio;
 use steadystate::platform::topo;
 use steadystate::service::{Service, ServiceConfig};
-use steadystate::sim::dynamic::ParamScale;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

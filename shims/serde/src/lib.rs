@@ -8,8 +8,9 @@
 //! [`Deserializer`] exposes typed `take_*` accessors over an underlying
 //! tree (the only deserializer in the workspace is `serde_json`'s
 //! `Value`-backed one, which makes the accessors trivially implementable).
-//! There is no derive macro — the few serializable structs in the
-//! workspace hand-write their impls.
+//! In place of `#[derive(Serialize, Deserialize)]`, [`fields!`] declares
+//! a struct's wire form once, as the list of its fields; `fields!(T as
+//! str)` gives a type the string form of its `Display`/`FromStr` pair.
 
 #![forbid(unsafe_code)]
 
@@ -141,6 +142,70 @@ pub trait Deserializer<'de>: Sized + Clone {
 pub trait Deserialize<'de>: Sized {
     /// Extract `Self` from `deserializer`.
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error>;
+}
+
+/// Implement [`Serialize`] and [`Deserialize`] from one declaration.
+///
+/// * `fields!(T { a, b, c })` — `T`'s wire form is a struct of the listed
+///   fields, written in the listed order under their own names. Each
+///   field decodes through its own type's `Deserialize`, so the list names
+///   fields and nothing else. A field left out of the list does not
+///   compile (the decoder builds `T { .. }` from exactly these fields).
+/// * `fields!(T { a, b }, check = f)` — as above, then the decoded value
+///   must pass `f: fn(&T) -> Result<(), E>` (`E: Display`), whose error
+///   becomes the deserializer's.
+/// * `fields!(T as str)` — `T` travels as the string of its `Display`
+///   impl and decodes through its `FromStr` impl.
+#[macro_export]
+macro_rules! fields {
+    ($ty:ident { $($field:ident),+ $(,)? } $(, check = $check:path)?) => {
+        impl $crate::Serialize for $ty {
+            fn serialize<S: $crate::Serializer>(
+                &self,
+                serializer: S,
+            ) -> ::core::result::Result<S::Ok, S::Error> {
+                use $crate::ser::SerializeStruct as _;
+                let len = [$(stringify!($field)),+].len();
+                let mut st = serializer.serialize_struct(stringify!($ty), len)?;
+                $(st.serialize_field(stringify!($field), &self.$field)?;)+
+                st.end()
+            }
+        }
+
+        impl<'de> $crate::Deserialize<'de> for $ty {
+            fn deserialize<D: $crate::Deserializer<'de>>(
+                d: D,
+            ) -> ::core::result::Result<$ty, D::Error> {
+                let value = $ty {
+                    $($field: $crate::Deserialize::deserialize(
+                        d.clone().take_field(stringify!($field))?,
+                    )?,)+
+                };
+                $($check(&value).map_err(<D::Error as $crate::de::Error>::custom)?;)?
+                Ok(value)
+            }
+        }
+    };
+    ($ty:ident as str) => {
+        impl $crate::Serialize for $ty {
+            fn serialize<S: $crate::Serializer>(
+                &self,
+                serializer: S,
+            ) -> ::core::result::Result<S::Ok, S::Error> {
+                serializer.serialize_str(&self.to_string())
+            }
+        }
+
+        impl<'de> $crate::Deserialize<'de> for $ty {
+            fn deserialize<D: $crate::Deserializer<'de>>(
+                d: D,
+            ) -> ::core::result::Result<$ty, D::Error> {
+                d.take_str()?
+                    .parse()
+                    .map_err(<D::Error as $crate::de::Error>::custom)
+            }
+        }
+    };
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@
 //! Supported JSON: objects, arrays, strings (with the standard escapes,
 //! including `\uXXXX` and surrogate pairs), integers (`i64`/`u64` exact),
 //! floats, booleans, null. Object key order is preserved (insertion order),
-//! which keeps serialized output deterministic.
+//! which keeps serialized output deterministic. Arrays and objects nest at
+//! most 128 deep, as in the real crate: the parser recurses once per level,
+//! and a deeper document is an error instead of a stack overflow.
 
 #![forbid(unsafe_code)]
 
@@ -303,11 +305,14 @@ where
     T::deserialize(ValueDe { value })
 }
 
+/// Deepest array/object nesting [`parse`] accepts.
+const MAX_DEPTH: usize = 128;
+
 /// Parse JSON text into a [`Value`].
 pub fn parse(s: &str) -> Result<Value, Error> {
     let bytes = s.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(de::Error::custom(format!(
@@ -407,11 +412,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parse one value whose enclosing arrays/objects are `depth` deep.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(bytes, pos);
     let Some(&b) = bytes.get(*pos) else {
         return Err(de::Error::custom("unexpected end of input"));
     };
+    if matches!(b, b'[' | b'{') && depth == MAX_DEPTH {
+        return Err(de::Error::custom(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )));
+    }
     match b {
         b'n' => parse_keyword(bytes, pos, "null", Value::Null),
         b't' => parse_keyword(bytes, pos, "true", Value::Bool(true)),
@@ -426,7 +437,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -458,7 +469,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                     return Err(de::Error::custom(format!("expected ':' at byte {pos}")));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -669,6 +680,52 @@ mod tests {
         let json = to_string(&xs).unwrap();
         let back: Vec<Option<u64>> = from_str(&json).unwrap();
         assert_eq!(back, xs);
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Pair {
+        a: u32,
+        b: Option<String>,
+    }
+    serde::fields!(Pair { a, b }, check = small);
+
+    fn small(p: &Pair) -> Result<(), &'static str> {
+        if p.a < 10 {
+            Ok(())
+        } else {
+            Err("a too large")
+        }
+    }
+
+    #[test]
+    fn fields_macro_writes_in_order_and_runs_the_check() {
+        let p = Pair { a: 3, b: None };
+        let wire = to_string(&p).unwrap();
+        assert_eq!(wire, r#"{"a":3,"b":null}"#);
+        assert_eq!(from_str::<Pair>(&wire).unwrap(), p);
+        assert_eq!(from_str::<Pair>(r#"{"b":null,"a":3}"#).unwrap(), p);
+        let err = from_str::<Pair>(r#"{"a":12,"b":"x"}"#).unwrap_err();
+        assert_eq!(err.to_string(), "a too large");
+        assert!(from_str::<Pair>(r#"{"b":"x"}"#).is_err());
+    }
+
+    /// A hostile document nests far deeper than the parser recurses: it is
+    /// an error on an ordinary 2 MiB thread, not a stack overflow.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = std::thread::spawn(|| parse(&"[".repeat(10_000)))
+            .join()
+            .expect("parser thread must not die");
+        assert!(deep.unwrap_err().to_string().contains("nesting deeper"));
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use steadystate::baselines::{heft_batch, simulate_tree_greedy, ServiceOrder};
+use steadystate::core::drift::ParamScale;
 use steadystate::core::master_slave::PortModel;
 use steadystate::core::multicast::EdgeCoupling;
 use steadystate::core::{all_to_all, broadcast, dag, master_slave, multicast, reduce, scatter};
@@ -12,7 +13,7 @@ use steadystate::platform::{paper, topo, PlatformSpec};
 use steadystate::schedule::{
     fixed_period, flowpaths, phases, reconstruct_collective, reconstruct_master_slave, startup,
 };
-use steadystate::sim::dynamic::{simulate_policies, ParamScale};
+use steadystate::sim::dynamic::simulate_policies;
 use steadystate::sim::{simulate_collective, simulate_master_slave};
 
 /// The full master–slave pipeline on the paper's own platform: the LP
