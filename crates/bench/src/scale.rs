@@ -17,6 +17,7 @@
 //! points are independent platforms, so they run on the scoped-thread
 //! pool of [`crate::parallel::par_map`].
 
+use crate::harness::{json_lines, json_obj};
 use crate::parallel::par_map;
 use crate::table::{banner, print_table};
 use rand::rngs::StdRng;
@@ -28,7 +29,6 @@ use ss_num::BigInt;
 use ss_platform::topo;
 use ss_platform::NodeId;
 use ss_schedule::coloring::decompose;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Platforms up to this node count also run the exact backend for the
@@ -232,47 +232,52 @@ pub fn lp_scale() {
     }
 }
 
+/// `ms` with `digits` decimals, or `null` when the pairing did not run.
+fn ms_or_null(ms: Option<f64>, digits: usize) -> String {
+    ms.map_or("null".into(), |ms| format!("{ms:.digits$}"))
+}
+
 /// Record the sweep and the formulation pairings as JSON next to the
 /// repo's other experiment artifacts (workspace root).
 fn write_bench_json(
     points: &[SweepPoint],
     pairs: &[crate::kernels::KernelPairing],
 ) -> std::io::Result<String> {
-    let mut s = String::from("{\n  \"lp_scale\": [\n");
-    for (i, pt) in points.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"p\": {}, \"edges\": {}, \"vars\": {}, \"rows\": {}, \"sparse_f64_ms\": {:.3}, \
-             \"dense_f64_ms\": {}, \"exact_ms\": {}, \"sparse_pivots\": {}, \"abs_error\": {}}}",
-            pt.p,
-            pt.edges,
-            pt.vars,
-            pt.rows,
-            pt.sparse_ms,
-            pt.dense_ms
-                .map_or("null".into(), |ms| format!("{ms:.3}")),
-            pt.exact_ms
-                .map_or("null".into(), |ms| format!("{ms:.3}")),
-            pt.sparse_pivots,
-            pt.abs_error
-                .map_or("null".into(), |e| format!("{e:.3e}")),
-        );
-        s.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n  \"formulations\": [\n");
-    for (i, p) in pairs.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"dense_f64_ms\": {:.4}, \"sparse_f64_ms\": {:.4}, \
-             \"speedup\": {:.2}}}",
-            p.name,
-            p.dense_ms,
-            p.sparse_ms,
-            p.speedup()
-        );
-        s.push_str(if i + 1 < pairs.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
+    let sweep: Vec<String> = points
+        .iter()
+        .map(|pt| {
+            json_obj(&[
+                ("p", pt.p.to_string()),
+                ("edges", pt.edges.to_string()),
+                ("vars", pt.vars.to_string()),
+                ("rows", pt.rows.to_string()),
+                ("sparse_f64_ms", format!("{:.3}", pt.sparse_ms)),
+                ("dense_f64_ms", ms_or_null(pt.dense_ms, 3)),
+                ("exact_ms", ms_or_null(pt.exact_ms, 3)),
+                ("sparse_pivots", pt.sparse_pivots.to_string()),
+                (
+                    "abs_error",
+                    pt.abs_error.map_or("null".into(), |e| format!("{e:.3e}")),
+                ),
+            ])
+        })
+        .collect();
+    let formulations: Vec<String> = pairs
+        .iter()
+        .map(|p| {
+            json_obj(&[
+                ("name", format!("\"{}\"", p.name)),
+                ("dense_f64_ms", format!("{:.4}", p.dense_ms)),
+                ("sparse_f64_ms", format!("{:.4}", p.sparse_ms)),
+                ("speedup", format!("{:.2}", p.speedup())),
+            ])
+        })
+        .collect();
+    let s = format!(
+        "{{\n  \"lp_scale\": {},\n  \"formulations\": {}\n}}\n",
+        json_lines(&sweep, 4),
+        json_lines(&formulations, 4)
+    );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lp_sparse.json");
     std::fs::write(path, s)?;
     Ok("BENCH_lp_sparse.json".into())
@@ -281,28 +286,30 @@ fn write_bench_json(
 /// Record the bounded-vs-lowered pairing (row counts and sparse-kernel
 /// solve times per platform size) to `BENCH_lp_bounded.json`.
 fn write_bounded_json(points: &[SweepPoint]) -> std::io::Result<String> {
-    let mut s = String::from("{\n  \"lp_bounded\": [\n");
-    for (i, pt) in points.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"p\": {}, \"edges\": {}, \"vars\": {}, \"explicit_rows\": {}, \
-             \"native_rows\": {}, \"lowered_rows\": {}, \"row_factor\": {:.2}, \
-             \"bounded_sparse_ms\": {:.3}, \"lowered_sparse_ms\": {}, \"speedup\": {}}}",
-            pt.p,
-            pt.edges,
-            pt.vars,
-            pt.rows,
-            pt.native_rows,
-            pt.lowered_rows,
-            pt.lowered_rows as f64 / pt.native_rows as f64,
-            pt.sparse_ms,
-            pt.lowered_ms.map_or("null".into(), |ms| format!("{ms:.3}")),
-            pt.lowered_ms
-                .map_or("null".into(), |ms| format!("{:.2}", ms / pt.sparse_ms)),
-        );
-        s.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
+    let rows: Vec<String> = points
+        .iter()
+        .map(|pt| {
+            json_obj(&[
+                ("p", pt.p.to_string()),
+                ("edges", pt.edges.to_string()),
+                ("vars", pt.vars.to_string()),
+                ("explicit_rows", pt.rows.to_string()),
+                ("native_rows", pt.native_rows.to_string()),
+                ("lowered_rows", pt.lowered_rows.to_string()),
+                (
+                    "row_factor",
+                    format!("{:.2}", pt.lowered_rows as f64 / pt.native_rows as f64),
+                ),
+                ("bounded_sparse_ms", format!("{:.3}", pt.sparse_ms)),
+                ("lowered_sparse_ms", ms_or_null(pt.lowered_ms, 3)),
+                (
+                    "speedup",
+                    ms_or_null(pt.lowered_ms.map(|ms| ms / pt.sparse_ms), 2),
+                ),
+            ])
+        })
+        .collect();
+    let s = format!("{{\n  \"lp_bounded\": {}\n}}\n", json_lines(&rows, 4));
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lp_bounded.json");
     std::fs::write(path, s)?;
     Ok("BENCH_lp_bounded.json".into())

@@ -1,11 +1,20 @@
 //! Arbitrary-precision signed integers.
 //!
-//! Representation: a [`Sign`] plus a little-endian vector of `u64` limbs with
-//! no trailing zero limbs. Zero is `Sign::Zero` with an empty limb vector —
-//! a canonical form, so `Eq`/`Hash` can be derived structurally.
+//! Representation: two tiers. A value that fits in an `i64` is held inline
+//! (`Repr::Small`), zero included; only a value outside that range owns
+//! limbs (`Repr::Large`: a [`Sign`] plus a little-endian vector of `u64`
+//! limbs with no trailing zero limb). The form is canonical — a value is
+//! `Large` exactly when it does not fit in an `i64` — so `Eq`/`Hash` can be
+//! derived structurally.
+//!
+//! Two `Small` operands take a fast path in `i64`/`i128` that promotes to
+//! `Large` when the result overflows. Every other case runs the one set of
+//! limb routines below, a `Small` operand entering as a one-limb slice on
+//! the stack ([`BigInt::parts`]).
 
 #![allow(clippy::needless_range_loop)] // carry-chain loops are clearer indexed
 
+use crate::gcd64;
 use core::cmp::Ordering;
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Rem, Sub, SubAssign};
@@ -51,10 +60,15 @@ impl Sign {
 /// assert_eq!(b.to_string(), "1000000014000000049");
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct BigInt {
-    sign: Sign,
-    /// Little-endian limbs, no trailing zeros; empty iff sign == Zero.
-    mag: Vec<u64>,
+pub struct BigInt(Repr);
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Repr {
+    /// Every value in `i64` range.
+    Small(i64),
+    /// Every value outside `i64` range: `sign` is never `Zero`, `mag` is
+    /// little-endian with no trailing zero limb.
+    Large { sign: Sign, mag: Vec<u64> },
 }
 
 // ---------------------------------------------------------------------------
@@ -273,82 +287,126 @@ fn div_rem_mag(a: &[u64], b: &[u64]) -> (Vec<u64>, Vec<u64>) {
 // BigInt API.
 // ---------------------------------------------------------------------------
 
+/// The `i64` with sign `sign` and magnitude `m`, if there is one.
+#[inline]
+fn small_of(sign: Sign, m: u64) -> Option<i64> {
+    match sign {
+        Sign::Zero => Some(0),
+        Sign::Plus => i64::try_from(m).ok(),
+        Sign::Minus => (m <= 1 << 63).then(|| (m as i64).wrapping_neg()),
+    }
+}
+
 impl BigInt {
     /// The integer zero.
     #[inline]
     pub fn zero() -> BigInt {
-        BigInt {
-            sign: Sign::Zero,
-            mag: Vec::new(),
-        }
+        BigInt(Repr::Small(0))
     }
 
     /// The integer one.
     #[inline]
     pub fn one() -> BigInt {
-        BigInt {
-            sign: Sign::Plus,
-            mag: vec![1],
-        }
+        BigInt(Repr::Small(1))
     }
 
+    /// The canonical integer with sign `sign` and magnitude `mag` (trailing
+    /// zero limbs allowed).
     fn from_mag(sign: Sign, mut mag: Vec<u64>) -> BigInt {
         trim(&mut mag);
-        if mag.is_empty() {
-            BigInt::zero()
-        } else {
-            debug_assert!(sign != Sign::Zero);
-            BigInt { sign, mag }
+        match mag[..] {
+            [] => return BigInt::zero(),
+            [m] => {
+                if let Some(v) = small_of(sign, m) {
+                    return BigInt(Repr::Small(v));
+                }
+            }
+            _ => {}
+        }
+        debug_assert!(sign != Sign::Zero);
+        BigInt(Repr::Large { sign, mag })
+    }
+
+    /// Sign and magnitude limbs; a `Small` value lends its one limb from
+    /// `buf`, so the limb routines serve both tiers without allocating.
+    #[inline]
+    fn parts<'a>(&'a self, buf: &'a mut [u64; 1]) -> (Sign, &'a [u64]) {
+        match &self.0 {
+            Repr::Small(0) => (Sign::Zero, &[]),
+            Repr::Small(v) => {
+                buf[0] = v.unsigned_abs();
+                (if *v < 0 { Sign::Minus } else { Sign::Plus }, &buf[..])
+            }
+            Repr::Large { sign, mag } => (*sign, mag),
         }
     }
 
     /// Sign of this integer.
     #[inline]
     pub fn sign(&self) -> Sign {
-        self.sign
+        match self.0 {
+            Repr::Small(v) => match v.cmp(&0) {
+                Ordering::Less => Sign::Minus,
+                Ordering::Equal => Sign::Zero,
+                Ordering::Greater => Sign::Plus,
+            },
+            Repr::Large { sign, .. } => sign,
+        }
     }
 
     /// `true` iff this is zero.
     #[inline]
     pub fn is_zero(&self) -> bool {
-        self.sign == Sign::Zero
+        matches!(self.0, Repr::Small(0))
     }
 
     /// `true` iff this is one.
     #[inline]
     pub fn is_one(&self) -> bool {
-        self.sign == Sign::Plus && self.mag == [1]
+        matches!(self.0, Repr::Small(1))
     }
 
     /// `true` iff this is strictly negative.
     #[inline]
     pub fn is_negative(&self) -> bool {
-        self.sign == Sign::Minus
+        self.sign() == Sign::Minus
     }
 
     /// `true` iff this is strictly positive.
     #[inline]
     pub fn is_positive(&self) -> bool {
-        self.sign == Sign::Plus
+        self.sign() == Sign::Plus
     }
 
     /// Absolute value.
     pub fn abs(&self) -> BigInt {
-        match self.sign {
-            Sign::Minus => BigInt {
-                sign: Sign::Plus,
-                mag: self.mag.clone(),
-            },
-            _ => self.clone(),
+        if self.is_negative() {
+            -self
+        } else {
+            self.clone()
         }
     }
 
     /// Number of bits in the magnitude (0 for zero).
     pub fn bits(&self) -> u64 {
-        match self.mag.last() {
+        let mut buf = [0];
+        let mag = self.parts(&mut buf).1;
+        match mag.last() {
             None => 0,
-            Some(&top) => (self.mag.len() as u64) * 64 - top.leading_zeros() as u64,
+            Some(&top) => (mag.len() as u64) * 64 - top.leading_zeros() as u64,
         }
+    }
+
+    /// `self` with its magnitude shifted right by `s` bits (truncation
+    /// toward zero).
+    pub(crate) fn shr_mag(&self, s: u64) -> BigInt {
+        let mut buf = [0];
+        let (sign, mag) = self.parts(&mut buf);
+        let limbs = usize::try_from(s / 64).unwrap_or(usize::MAX);
+        if limbs >= mag.len() {
+            return BigInt::zero();
+        }
+        BigInt::from_mag(sign, shr_bits(&mag[limbs..], (s % 64) as u32))
     }
 
     /// Quotient and remainder of truncated division (C semantics: the
@@ -358,24 +416,53 @@ impl BigInt {
     /// Panics if `other` is zero.
     pub fn div_rem(&self, other: &BigInt) -> (BigInt, BigInt) {
         assert!(!other.is_zero(), "division by zero BigInt");
-        if self.is_zero() {
+        match (&self.0, &other.0) {
+            // `i64::MIN / -1` overflows `i64`; in `i128` it promotes.
+            (Repr::Small(a), Repr::Small(b)) => (
+                BigInt::from(*a as i128 / *b as i128),
+                BigInt(Repr::Small((*a as i128 % *b as i128) as i64)),
+            ),
+            _ => self.div_rem_limbs(other),
+        }
+    }
+
+    fn div_rem_limbs(&self, other: &BigInt) -> (BigInt, BigInt) {
+        let (mut ba, mut bb) = ([0], [0]);
+        let (sa, ma) = self.parts(&mut ba);
+        let (sb, mb) = other.parts(&mut bb);
+        if sa == Sign::Zero {
             return (BigInt::zero(), BigInt::zero());
         }
-        let (q, r) = div_rem_mag(&self.mag, &other.mag);
-        let qs = self.sign.mul(other.sign);
-        (BigInt::from_mag(qs, q), BigInt::from_mag(self.sign, r))
+        let (q, r) = div_rem_mag(ma, mb);
+        (BigInt::from_mag(sa.mul(sb), q), BigInt::from_mag(sa, r))
     }
 
     /// Greatest common divisor (always non-negative; `gcd(0,0) == 0`).
     pub fn gcd(&self, other: &BigInt) -> BigInt {
-        let mut a = self.mag.clone();
-        let mut b = other.mag.clone();
-        while !b.is_empty() {
+        match (&self.0, &other.0) {
+            (Repr::Small(a), Repr::Small(b)) => {
+                BigInt::from(gcd64(a.unsigned_abs(), b.unsigned_abs()))
+            }
+            _ => self.gcd_limbs(other),
+        }
+    }
+
+    /// Euclid on limbs until one side fits one limb, then binary gcd on
+    /// `u64`.
+    fn gcd_limbs(&self, other: &BigInt) -> BigInt {
+        let (mut ba, mut bb) = ([0], [0]);
+        let mut a = self.parts(&mut ba).1.to_vec();
+        let mut b = other.parts(&mut bb).1.to_vec();
+        while b.len() > 1 {
             let (_, r) = div_rem_mag(&a, &b);
             a = b;
             b = r;
         }
-        BigInt::from_mag(Sign::Plus, a)
+        match b[..] {
+            [] => BigInt::from_mag(Sign::Plus, a),
+            [d] => BigInt::from(gcd64(d, div_rem_mag_limb(&a, d).1)),
+            _ => unreachable!(),
+        }
     }
 
     /// Least common multiple (non-negative; `lcm(x,0) == 0`).
@@ -406,49 +493,48 @@ impl BigInt {
 
     /// Convert to `f64` (may lose precision; saturates to ±∞ on overflow).
     pub fn to_f64(&self) -> f64 {
+        let (sign, mag) = match &self.0 {
+            Repr::Small(v) => return *v as f64,
+            Repr::Large { sign, mag } => (sign, mag),
+        };
         let mut x = 0.0f64;
-        for &limb in self.mag.iter().rev() {
+        for &limb in mag.iter().rev() {
             x = x * 18446744073709551616.0 + limb as f64;
         }
-        if self.sign == Sign::Minus {
+        if *sign == Sign::Minus {
             -x
         } else {
             x
         }
     }
 
-    /// Convert to `i64` if it fits.
+    /// Convert to `i64` if it fits, i.e. if it is held inline.
+    #[inline]
     pub fn to_i64(&self) -> Option<i64> {
-        match self.mag.len() {
-            0 => Some(0),
-            1 => {
-                let m = self.mag[0];
-                match self.sign {
-                    Sign::Plus if m <= i64::MAX as u64 => Some(m as i64),
-                    Sign::Minus if m <= 1u64 << 63 => Some(-(m as i128) as i64),
-                    _ => None,
-                }
-            }
-            _ => None,
+        match self.0 {
+            Repr::Small(v) => Some(v),
+            Repr::Large { .. } => None,
         }
     }
 
     /// Convert to `u64` if it fits (must be non-negative).
     pub fn to_u64(&self) -> Option<u64> {
-        match (self.sign, self.mag.len()) {
-            (Sign::Zero, _) => Some(0),
-            (Sign::Plus, 1) => Some(self.mag[0]),
-            _ => None,
-        }
+        self.to_u128().and_then(|v| u64::try_from(v).ok())
     }
 
     /// Convert to `u128` if it fits (must be non-negative).
     pub fn to_u128(&self) -> Option<u128> {
-        match (self.sign, self.mag.len()) {
-            (Sign::Zero, _) => Some(0),
-            (Sign::Plus, 1) => Some(self.mag[0] as u128),
-            (Sign::Plus, 2) => Some((self.mag[1] as u128) << 64 | self.mag[0] as u128),
-            _ => None,
+        match &self.0 {
+            Repr::Small(v) => u128::try_from(*v).ok(),
+            Repr::Large {
+                sign: Sign::Plus,
+                mag,
+            } => match mag[..] {
+                [lo] => Some(lo as u128),
+                [lo, hi] => Some((hi as u128) << 64 | lo as u128),
+                _ => None,
+            },
+            Repr::Large { .. } => None,
         }
     }
 }
@@ -457,58 +543,52 @@ impl BigInt {
 // Conversions.
 // ---------------------------------------------------------------------------
 
-macro_rules! impl_from_unsigned {
+macro_rules! impl_from_small {
     ($($t:ty),*) => {$(
         impl From<$t> for BigInt {
             #[inline]
             fn from(v: $t) -> BigInt {
-                if v == 0 {
-                    BigInt::zero()
-                } else {
-                    BigInt { sign: Sign::Plus, mag: vec![v as u64] }
-                }
+                BigInt(Repr::Small(v as i64))
             }
         }
     )*};
 }
-impl_from_unsigned!(u8, u16, u32, u64, usize);
+impl_from_small!(u8, u16, u32, i8, i16, i32, i64, isize);
 
-macro_rules! impl_from_signed {
-    ($($t:ty),*) => {$(
-        impl From<$t> for BigInt {
-            #[inline]
-            fn from(v: $t) -> BigInt {
-                use core::cmp::Ordering;
-                match v.cmp(&0) {
-                    Ordering::Equal => BigInt::zero(),
-                    Ordering::Greater => {
-                        BigInt { sign: Sign::Plus, mag: vec![v as u64] }
-                    }
-                    Ordering::Less => BigInt {
-                        sign: Sign::Minus,
-                        mag: vec![(v as i128).unsigned_abs() as u64],
-                    },
-                }
-            }
-        }
-    )*};
+impl From<u64> for BigInt {
+    #[inline]
+    fn from(v: u64) -> BigInt {
+        BigInt::from(v as u128)
+    }
 }
-impl_from_signed!(i8, i16, i32, i64, isize);
+
+impl From<usize> for BigInt {
+    #[inline]
+    fn from(v: usize) -> BigInt {
+        BigInt::from(v as u128)
+    }
+}
 
 impl From<u128> for BigInt {
+    #[inline]
     fn from(v: u128) -> BigInt {
-        let lo = v as u64;
-        let hi = (v >> 64) as u64;
-        BigInt::from_mag(Sign::Plus, vec![lo, hi])
+        match i64::try_from(v) {
+            Ok(v) => BigInt(Repr::Small(v)),
+            Err(_) => BigInt::from_mag(Sign::Plus, vec![v as u64, (v >> 64) as u64]),
+        }
     }
 }
 
 impl From<i128> for BigInt {
+    #[inline]
     fn from(v: i128) -> BigInt {
-        if v < 0 {
-            -BigInt::from(v.unsigned_abs())
-        } else {
-            BigInt::from(v as u128)
+        match i64::try_from(v) {
+            Ok(v) => BigInt(Repr::Small(v)),
+            Err(_) => {
+                let sign = if v < 0 { Sign::Minus } else { Sign::Plus };
+                let m = v.unsigned_abs();
+                BigInt::from_mag(sign, vec![m as u64, (m >> 64) as u64])
+            }
         }
     }
 }
@@ -526,14 +606,51 @@ impl PartialOrd for BigInt {
 
 impl Ord for BigInt {
     fn cmp(&self, other: &BigInt) -> Ordering {
-        match self.sign.cmp(&other.sign) {
-            Ordering::Equal => match self.sign {
+        match (&self.0, &other.0) {
+            (Repr::Small(a), Repr::Small(b)) => a.cmp(b),
+            _ => self.cmp_limbs(other),
+        }
+    }
+}
+
+impl BigInt {
+    fn cmp_limbs(&self, other: &BigInt) -> Ordering {
+        let (mut ba, mut bb) = ([0], [0]);
+        let (sa, ma) = self.parts(&mut ba);
+        let (sb, mb) = other.parts(&mut bb);
+        match sa.cmp(&sb) {
+            Ordering::Equal => match sa {
                 Sign::Zero => Ordering::Equal,
-                Sign::Plus => cmp_mag(&self.mag, &other.mag),
-                Sign::Minus => cmp_mag(&other.mag, &self.mag),
+                Sign::Plus => cmp_mag(ma, mb),
+                Sign::Minus => cmp_mag(mb, ma),
             },
             o => o,
         }
+    }
+
+    /// `self + rhs` with `rhs`'s sign flipped when `negate_rhs`, on limbs.
+    fn add_limbs(&self, rhs: &BigInt, negate_rhs: bool) -> BigInt {
+        let (mut ba, mut bb) = ([0], [0]);
+        let (sa, ma) = self.parts(&mut ba);
+        let (sb, mb) = rhs.parts(&mut bb);
+        let sb = if negate_rhs { sb.negate() } else { sb };
+        match (sa, sb) {
+            (Sign::Zero, _) => BigInt::from_mag(sb, mb.to_vec()),
+            (_, Sign::Zero) => BigInt::from_mag(sa, ma.to_vec()),
+            (a, b) if a == b => BigInt::from_mag(a, add_mag(ma, mb)),
+            _ => match cmp_mag(ma, mb) {
+                Ordering::Equal => BigInt::zero(),
+                Ordering::Greater => BigInt::from_mag(sa, sub_mag(ma, mb)),
+                Ordering::Less => BigInt::from_mag(sb, sub_mag(mb, ma)),
+            },
+        }
+    }
+
+    fn mul_limbs(&self, rhs: &BigInt) -> BigInt {
+        let (mut ba, mut bb) = ([0], [0]);
+        let (sa, ma) = self.parts(&mut ba);
+        let (sb, mb) = rhs.parts(&mut bb);
+        BigInt::from_mag(sa.mul(sb), mul_mag(ma, mb))
     }
 }
 
@@ -544,33 +661,30 @@ impl Ord for BigInt {
 impl Neg for &BigInt {
     type Output = BigInt;
     fn neg(self) -> BigInt {
-        BigInt {
-            sign: self.sign.negate(),
-            mag: self.mag.clone(),
+        match &self.0 {
+            Repr::Small(v) => BigInt::from(-(*v as i128)),
+            Repr::Large { sign, mag } => BigInt::from_mag(sign.negate(), mag.clone()),
         }
     }
 }
 
 impl Neg for BigInt {
     type Output = BigInt;
-    fn neg(mut self) -> BigInt {
-        self.sign = self.sign.negate();
-        self
+    fn neg(self) -> BigInt {
+        match self.0 {
+            Repr::Small(v) => BigInt::from(-(v as i128)),
+            Repr::Large { sign, mag } => BigInt::from_mag(sign.negate(), mag),
+        }
     }
 }
 
 impl Add for &BigInt {
     type Output = BigInt;
+    #[inline]
     fn add(self, rhs: &BigInt) -> BigInt {
-        match (self.sign, rhs.sign) {
-            (Sign::Zero, _) => rhs.clone(),
-            (_, Sign::Zero) => self.clone(),
-            (a, b) if a == b => BigInt::from_mag(a, add_mag(&self.mag, &rhs.mag)),
-            _ => match cmp_mag(&self.mag, &rhs.mag) {
-                Ordering::Equal => BigInt::zero(),
-                Ordering::Greater => BigInt::from_mag(self.sign, sub_mag(&self.mag, &rhs.mag)),
-                Ordering::Less => BigInt::from_mag(rhs.sign, sub_mag(&rhs.mag, &self.mag)),
-            },
+        match (&self.0, &rhs.0) {
+            (Repr::Small(a), Repr::Small(b)) => BigInt::from(*a as i128 + *b as i128),
+            _ => self.add_limbs(rhs, false),
         }
     }
 }
@@ -578,29 +692,22 @@ impl Add for &BigInt {
 impl Sub for &BigInt {
     type Output = BigInt;
     #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl)] // subtraction = addition of the negation
     fn sub(self, rhs: &BigInt) -> BigInt {
-        // Cheap: negate is a sign flip on a borrowed clone only when needed.
-        match rhs.sign {
-            Sign::Zero => self.clone(),
-            _ => {
-                self + &BigInt {
-                    sign: rhs.sign.negate(),
-                    mag: rhs.mag.clone(),
-                }
-            }
+        match (&self.0, &rhs.0) {
+            (Repr::Small(a), Repr::Small(b)) => BigInt::from(*a as i128 - *b as i128),
+            _ => self.add_limbs(rhs, true),
         }
     }
 }
 
 impl Mul for &BigInt {
     type Output = BigInt;
+    #[inline]
     fn mul(self, rhs: &BigInt) -> BigInt {
-        let sign = self.sign.mul(rhs.sign);
-        if sign == Sign::Zero {
-            return BigInt::zero();
+        match (&self.0, &rhs.0) {
+            (Repr::Small(a), Repr::Small(b)) => BigInt::from(*a as i128 * *b as i128),
+            _ => self.mul_limbs(rhs),
         }
-        BigInt::from_mag(sign, mul_mag(&self.mag, &rhs.mag))
     }
 }
 
@@ -668,12 +775,13 @@ impl MulAssign<&BigInt> for BigInt {
 
 impl fmt::Display for BigInt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_zero() {
-            return f.write_str("0");
-        }
+        let (sign, mag) = match &self.0 {
+            Repr::Small(v) => return write!(f, "{v}"),
+            Repr::Large { sign, mag } => (sign, mag),
+        };
         // Peel off 19 decimal digits at a time (10^19 < 2^64).
         const CHUNK: u64 = 10_000_000_000_000_000_000;
-        let mut mag = self.mag.clone();
+        let mut mag = mag.clone();
         let mut chunks = Vec::new();
         while !mag.is_empty() {
             let (q, r) = div_rem_mag_limb(&mag, CHUNK);
@@ -681,7 +789,7 @@ impl fmt::Display for BigInt {
             mag = q;
         }
         let mut s = String::new();
-        if self.sign == Sign::Minus {
+        if *sign == Sign::Minus {
             s.push('-');
         }
         s.push_str(&chunks.pop().unwrap().to_string());
@@ -722,17 +830,26 @@ impl FromStr for BigInt {
         if digits.is_empty() || !digits.iter().all(|b| b.is_ascii_digit()) {
             return Err(ParseBigIntError);
         }
+        let sign = if neg { Sign::Minus } else { Sign::Plus };
+        let value = |chunk: &[u8]| {
+            chunk
+                .iter()
+                .fold(0u64, |acc, &b| acc * 10 + u64::from(b - b'0'))
+        };
+        if digits.len() <= 19 {
+            // The whole literal fits in a `u64` (10^19 - 1 < 2^64).
+            let m = value(digits);
+            return Ok(match small_of(sign, m) {
+                Some(v) => BigInt(Repr::Small(v)),
+                None => BigInt::from_mag(sign, vec![m]),
+            });
+        }
         let mut mag: Vec<u64> = Vec::new();
         // Consume 19 digits at a time: mag = mag * 10^k + chunk.
         for chunk in digits.chunks(19) {
-            let k = chunk.len() as u32;
-            let val: u64 = std::str::from_utf8(chunk)
-                .map_err(|_| ParseBigIntError)?
-                .parse()
-                .map_err(|_| ParseBigIntError)?;
-            let base = 10u64.pow(k);
-            // mag = mag * base + val, in place.
-            let mut carry = val as u128;
+            let base = 10u64.pow(chunk.len() as u32);
+            // mag = mag * base + chunk, in place.
+            let mut carry = value(chunk) as u128;
             for limb in mag.iter_mut() {
                 let t = (*limb as u128) * (base as u128) + carry;
                 *limb = t as u64;
@@ -743,15 +860,7 @@ impl FromStr for BigInt {
                 carry >>= 64;
             }
         }
-        trim(&mut mag);
-        if mag.is_empty() {
-            Ok(BigInt::zero())
-        } else {
-            Ok(BigInt {
-                sign: if neg { Sign::Minus } else { Sign::Plus },
-                mag,
-            })
-        }
+        Ok(BigInt::from_mag(sign, mag))
     }
 }
 
@@ -769,11 +878,154 @@ impl std::iter::Sum for BigInt {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::rand_crate::rngs::StdRng;
+    use proptest::rand_crate::Rng;
 
     fn bi(s: &str) -> BigInt {
         s.parse().unwrap()
+    }
+
+    /// `x` is in canonical form: `Large` only outside `i64` range, with a
+    /// nonzero sign and no trailing zero limb.
+    pub(crate) fn canonical(x: &BigInt) -> bool {
+        match &x.0 {
+            Repr::Small(_) => true,
+            Repr::Large { sign, mag } => {
+                *sign != Sign::Zero
+                    && mag.last().is_some_and(|&top| top != 0)
+                    && !matches!(mag[..], [m] if small_of(*sign, m).is_some())
+            }
+        }
+    }
+
+    /// Integers clustered where `i64` arithmetic overflows: around 0,
+    /// ±2^31 and ±2^32, ±⌊√2^63⌋ (products overflow by one bit), ±2^62
+    /// (sums overflow by one bit), ±2^63 (`i64::MIN`, `i64::MAX` and the
+    /// first values past them) and ±2^64. One draw in five is any `i64`.
+    pub(crate) struct Edge;
+
+    impl Strategy for Edge {
+        type Value = i128;
+        fn sample(&self, rng: &mut StdRng) -> i128 {
+            const CENTRES: [i128; 7] = [
+                0,
+                1 << 31,
+                1 << 32,
+                3_037_000_499,
+                1 << 62,
+                1 << 63,
+                1 << 64,
+            ];
+            if rng.gen_bool(0.2) {
+                return rng.gen_range(i64::MIN..=i64::MAX) as i128;
+            }
+            let v = CENTRES[rng.gen_range(0..CENTRES.len())] + rng.gen_range(-3i128..=3);
+            if rng.gen_bool(0.5) {
+                -v
+            } else {
+                v
+            }
+        }
+    }
+
+    fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every two-operand fast path agrees with the limb routines on the
+        /// same operands, with `i128` where it can hold the answer, and
+        /// returns canonical results.
+        #[test]
+        fn fast_paths_match_limb_routines(a in Edge, b in Edge) {
+            let (x, y) = (BigInt::from(a), BigInt::from(b));
+            prop_assert!(canonical(&x) && canonical(&y));
+            let (sum, diff, prod, g) = (&x + &y, &x - &y, &x * &y, x.gcd(&y));
+            prop_assert_eq!(&sum, &x.add_limbs(&y, false));
+            prop_assert_eq!(&diff, &x.add_limbs(&y, true));
+            prop_assert_eq!(&prod, &x.mul_limbs(&y));
+            prop_assert_eq!(&g, &x.gcd_limbs(&y));
+            prop_assert_eq!(x.cmp(&y), x.cmp_limbs(&y));
+            prop_assert_eq!(&sum, &BigInt::from(a + b));
+            prop_assert_eq!(&diff, &BigInt::from(a - b));
+            if let Some(p) = a.checked_mul(b) {
+                prop_assert_eq!(&prod, &BigInt::from(p));
+            }
+            prop_assert_eq!(&g, &BigInt::from(gcd_u128(a.unsigned_abs(), b.unsigned_abs())));
+            prop_assert_eq!(x.cmp(&y), a.cmp(&b));
+            for v in [&sum, &diff, &prod, &g] {
+                prop_assert!(canonical(v), "not canonical: {:?}", v);
+            }
+            if b != 0 {
+                let (q, r) = x.div_rem(&y);
+                prop_assert_eq!((&q, &r), (&x.div_rem_limbs(&y).0, &x.div_rem_limbs(&y).1));
+                prop_assert_eq!((&q, &r), (&BigInt::from(a / b), &BigInt::from(a % b)));
+                prop_assert!(canonical(&q) && canonical(&r));
+            }
+        }
+
+        /// `gcd` with one side zero is the other side's magnitude.
+        #[test]
+        fn gcd_with_zero(a in Edge) {
+            let (x, zero) = (BigInt::from(a), BigInt::zero());
+            let want = BigInt::from(a.unsigned_abs());
+            for g in [x.gcd(&zero), zero.gcd(&x), x.gcd_limbs(&zero), zero.gcd_limbs(&x)] {
+                prop_assert_eq!(&g, &want);
+                prop_assert!(canonical(&g));
+            }
+        }
+
+        /// Unary operations, conversions and the decimal round trip are
+        /// exact and canonical on both sides of every overflow point.
+        #[test]
+        fn unary_ops_and_conversions(a in Edge) {
+            let x = BigInt::from(a);
+            for v in [-&x, -x.clone(), x.abs()] {
+                prop_assert!(canonical(&v));
+            }
+            prop_assert_eq!(-&x, BigInt::from(-a));
+            prop_assert_eq!(-x.clone(), BigInt::from(-a));
+            prop_assert_eq!(x.abs(), BigInt::from(a.abs()));
+            prop_assert_eq!(x.to_string(), a.to_string());
+            let back: BigInt = x.to_string().parse().unwrap();
+            prop_assert!(canonical(&back));
+            prop_assert_eq!(&back, &x);
+            prop_assert_eq!(x.to_i64(), i64::try_from(a).ok());
+            prop_assert_eq!(x.to_u64(), u64::try_from(a).ok());
+            prop_assert_eq!(x.to_u128(), u128::try_from(a).ok());
+            prop_assert_eq!(x.bits(), 128 - a.unsigned_abs().leading_zeros() as u64);
+            prop_assert_eq!(x.sign() == Sign::Minus, a < 0);
+            if let Ok(v) = i64::try_from(a) {
+                prop_assert_eq!(x.to_f64(), v as f64);
+            }
+        }
+    }
+
+    #[test]
+    fn neg_and_abs_of_i64_min() {
+        let min = BigInt::from(i64::MIN);
+        let past = BigInt::from(1i128 << 63);
+        assert!(matches!(min.0, Repr::Small(i64::MIN)));
+        assert!(matches!(past.0, Repr::Large { .. }));
+        assert_eq!(-&min, past);
+        assert_eq!(-min.clone(), past);
+        assert_eq!(min.abs(), past);
+        assert_eq!(-&past, min);
+        assert_eq!(-past.clone(), min);
+        assert_eq!(min.div_rem(&BigInt::from(-1)), (past, BigInt::zero()));
+    }
+
+    #[test]
+    fn stays_within_two_words_of_a_vec() {
+        assert!(core::mem::size_of::<BigInt>() <= 32);
     }
 
     #[test]

@@ -10,13 +10,22 @@
 //! pipeline — LP solving, period extraction, integer message counts per
 //! period — runs over [`Ratio`].
 //!
-//! The representation is deliberately simple (sign + little-endian `u64`
-//! limbs, schoolbook multiplication, Knuth algorithm D division): the LPs
-//! derived from platform graphs are small and the rational coefficients stay
-//! short after gcd reduction, so asymptotically fancy algorithms would be
-//! wasted complexity. The performance-sensitive inner loops (`add`, `mul`,
-//! `div_rem`, `gcd`) operate on limb slices without intermediate
-//! allocations.
+//! The LPs derived from platform graphs are small and their rational
+//! coefficients stay short after gcd reduction: every platform parameter,
+//! simplex pivot and LP solution of the benchmark workloads fits in a few
+//! bits. So a [`BigInt`] has two tiers. A value that fits in an `i64` is
+//! held inline, with no heap buffer; only a value outside that range
+//! spills to a sign plus little-endian `u64` limbs. The form is canonical
+//! (a value spills exactly when it does not fit in an `i64`), so equality
+//! and hashing stay structural.
+//!
+//! Arithmetic on two inline values runs in `i64`/`i128` and spills only
+//! when the result overflows. A [`Ratio`] whose operands' numerators and
+//! denominators are all inline adds, subtracts, multiplies and compares in
+//! `i128` with `u64` gcd reductions and no allocation. Everything else
+//! takes the one set of limb routines (schoolbook multiplication, Knuth
+//! algorithm D division), which allocate their results; asymptotically
+//! fancy algorithms would be wasted complexity at these sizes.
 //!
 //! ```
 //! use ss_num::{BigInt, Ratio};

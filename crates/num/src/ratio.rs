@@ -1,6 +1,13 @@
 //! Exact rational numbers with [`BigInt`] numerator and denominator.
+//!
+//! When the numerators and denominators of all operands are held inline
+//! (each fits in an `i64`), `add`/`sub`/`mul`/`cmp`/`from_bigints`/`to_f64`
+//! compute in `i128` and reduce with `u64` gcds: no allocation. The result
+//! is demoted to the inline form when it fits, so a chain of small values
+//! stays small. Every other case runs the two-[`BigInt`] path.
 
 use crate::bigint::{BigInt, Sign};
+use crate::gcd64;
 use core::cmp::Ordering;
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -58,6 +65,15 @@ impl Ratio {
     /// Panics if `d` is zero.
     pub fn from_bigints(n: BigInt, d: BigInt) -> Ratio {
         assert!(!d.is_zero(), "Ratio with zero denominator");
+        if let (Some(n), Some(d)) = (n.to_i64(), d.to_i64()) {
+            let g = gcd64(n.unsigned_abs(), d.unsigned_abs()) as i128;
+            let s = d.signum() as i128;
+            return Ratio::from_reduced(s * n as i128 / g, s * d as i128 / g);
+        }
+        Ratio::from_bigints_big(n, d)
+    }
+
+    fn from_bigints_big(n: BigInt, d: BigInt) -> Ratio {
         if n.is_zero() {
             return Ratio::zero();
         }
@@ -68,6 +84,72 @@ impl Ratio {
             d = &d / &g;
         }
         Ratio { num: n, den: d }
+    }
+
+    /// `n/d`, already in lowest terms with `d > 0`.
+    #[inline]
+    fn from_reduced(n: i128, d: i128) -> Ratio {
+        debug_assert!(d > 0);
+        Ratio {
+            num: BigInt::from(n),
+            den: BigInt::from(d),
+        }
+    }
+
+    /// Numerator and denominator, if both are held inline.
+    #[inline]
+    fn small(&self) -> Option<(i64, i64)> {
+        Some((self.num.to_i64()?, self.den.to_i64()?))
+    }
+
+    /// `a/b + c/d` for canonical operands held inline (`c` is `i128` so a
+    /// subtraction can pass `-c`). Knuth's form (TAOCP 4.5.1): with
+    /// `g = gcd(b, d)` and `t = a·(d/g) + c·(b/g)`, the only factor `t`
+    /// can share with the denominator `b·d/g` is `gcd(t, g)`. Every
+    /// product fits in `i128`: `|t| < 2^127`.
+    fn add_small(a: i64, b: i64, c: i128, d: i64) -> Ratio {
+        let g = gcd64(b as u64, d as u64);
+        let (bg, dg) = ((b as u64 / g) as i128, (d as u64 / g) as i128);
+        let t = a as i128 * dg + c * bg;
+        if t == 0 {
+            return Ratio::zero();
+        }
+        let g2 = if g == 1 {
+            1
+        } else {
+            gcd64((t.unsigned_abs() % g as u128) as u64, g) as i128
+        };
+        Ratio::from_reduced(t / g2, bg * (d as i128 / g2))
+    }
+
+    /// `self + (±rhs)` on the two-[`BigInt`] path.
+    fn add_big(&self, rhs: &Ratio, negate_rhs: bool) -> Ratio {
+        // n1/d1 + n2/d2 with a gcd(d1,d2) shortcut to limit growth.
+        let g = self.den.gcd(&rhs.den);
+        let d1g = &self.den / &g;
+        let d2g = &rhs.den / &g;
+        let n2 = &rhs.num * &d1g;
+        let n1 = &self.num * &d2g;
+        let num = if negate_rhs { n1 - n2 } else { n1 + n2 };
+        let den = &self.den * &d2g;
+        Ratio::from_bigints(num, den)
+    }
+
+    fn mul_big(&self, rhs: &Ratio) -> Ratio {
+        // Cross-reduce before multiplying to keep magnitudes small.
+        let g1 = self.num.gcd(&rhs.den);
+        let g2 = rhs.num.gcd(&self.den);
+        let num = (&self.num / &g1) * (&rhs.num / &g2);
+        let den = (&self.den / &g2) * (&rhs.den / &g1);
+        // num/den is already reduced; fix the sign convention directly.
+        if den.is_negative() {
+            Ratio {
+                num: -num,
+                den: -den,
+            }
+        } else {
+            Ratio { num, den }
+        }
     }
 
     /// Build from an integer.
@@ -176,18 +258,20 @@ impl Ratio {
 
     /// Convert to `f64` (nearest representable; may lose precision).
     pub fn to_f64(&self) -> f64 {
-        // Scale so numerator/denominator both fit comfortably in f64 range.
-        let nb = self.num.bits() as i64;
-        let db = self.den.bits() as i64;
+        if let Some((n, d)) = self.small() {
+            return n as f64 / d as f64;
+        }
+        let nb = self.num.bits();
+        let db = self.den.bits();
         if nb < 900 && db < 900 {
             return self.num.to_f64() / self.den.to_f64();
         }
-        // Shift both down by the same power of two to avoid inf/inf.
-        let shift = (nb.max(db) - 512).max(0) as u32;
-        let two = BigInt::from(2).pow(shift);
-        let n = &self.num / &two;
-        let d = &self.den / &two;
-        n.to_f64() / d.to_f64()
+        // Either side alone may leave f64's range: bring each to its top
+        // 64 bits with its own shift, divide, and rescale by the difference.
+        let sn = nb.saturating_sub(64);
+        let sd = db.saturating_sub(64);
+        let q = self.num.shr_mag(sn).to_f64() / self.den.shr_mag(sd).to_f64();
+        mul_pow2(q, sn as i64 - sd as i64)
     }
 
     /// Exact power with integer exponent (negative exponents invert).
@@ -351,25 +435,20 @@ impl From<BigInt> for Ratio {
 impl Add for &Ratio {
     type Output = Ratio;
     fn add(self, rhs: &Ratio) -> Ratio {
-        // n1/d1 + n2/d2 with a gcd(d1,d2) shortcut to limit growth.
-        let g = self.den.gcd(&rhs.den);
-        let d1g = &self.den / &g;
-        let d2g = &rhs.den / &g;
-        let num = &self.num * &d2g + &rhs.num * &d1g;
-        let den = &self.den * &d2g;
-        Ratio::from_bigints(num, den)
+        match (self.small(), rhs.small()) {
+            (Some((a, b)), Some((c, d))) => Ratio::add_small(a, b, c as i128, d),
+            _ => self.add_big(rhs, false),
+        }
     }
 }
 
 impl Sub for &Ratio {
     type Output = Ratio;
     fn sub(self, rhs: &Ratio) -> Ratio {
-        let g = self.den.gcd(&rhs.den);
-        let d1g = &self.den / &g;
-        let d2g = &rhs.den / &g;
-        let num = &self.num * &d2g - &rhs.num * &d1g;
-        let den = &self.den * &d2g;
-        Ratio::from_bigints(num, den)
+        match (self.small(), rhs.small()) {
+            (Some((a, b)), Some((c, d))) => Ratio::add_small(a, b, -(c as i128), d),
+            _ => self.add_big(rhs, true),
+        }
     }
 }
 
@@ -379,19 +458,16 @@ impl Mul for &Ratio {
         if self.is_zero() || rhs.is_zero() {
             return Ratio::zero();
         }
-        // Cross-reduce before multiplying to keep magnitudes small.
-        let g1 = self.num.gcd(&rhs.den);
-        let g2 = rhs.num.gcd(&self.den);
-        let num = (&self.num / &g1) * (&rhs.num / &g2);
-        let den = (&self.den / &g2) * (&rhs.den / &g1);
-        // num/den is already reduced; fix the sign convention directly.
-        if den.is_negative() {
-            Ratio {
-                num: -num,
-                den: -den,
+        match (self.small(), rhs.small()) {
+            (Some((a, b)), Some((c, d))) => {
+                let g1 = gcd64(a.unsigned_abs(), d as u64) as i128;
+                let g2 = gcd64(c.unsigned_abs(), b as u64) as i128;
+                Ratio::from_reduced(
+                    (a as i128 / g1) * (c as i128 / g2),
+                    (b as i128 / g2) * (d as i128 / g1),
+                )
             }
-        } else {
-            Ratio { num, den }
+            _ => self.mul_big(rhs),
         }
     }
 }
@@ -534,6 +610,9 @@ impl Ord for Ratio {
             _ => {}
         }
         // Cross-multiply: n1*d2 <=> n2*d1 (denominators positive).
+        if let (Some((a, b)), Some((c, d))) = (self.small(), other.small()) {
+            return (a as i128 * d as i128).cmp(&(c as i128 * b as i128));
+        }
         (&self.num * &other.den).cmp(&(&other.num * &self.den))
     }
 }
@@ -604,6 +683,20 @@ impl FromStr for Ratio {
     }
 }
 
+/// `x · 2^e`, in steps that stay inside `f64`'s exponent range.
+fn mul_pow2(mut x: f64, mut e: i64) -> f64 {
+    const STEP: i32 = 1000;
+    while e > STEP as i64 && x.is_finite() {
+        x *= 2f64.powi(STEP);
+        e -= STEP as i64;
+    }
+    while e < -(STEP as i64) && x != 0.0 {
+        x *= 2f64.powi(-STEP);
+        e += STEP as i64;
+    }
+    x * 2f64.powi(e.clamp(-2 * STEP as i64, 2 * STEP as i64) as i32)
+}
+
 /// Convenience constructor: `rat(3, 4)` is `3/4`.
 #[inline]
 pub fn rat(n: i64, d: i64) -> Ratio {
@@ -613,6 +706,72 @@ pub fn rat(n: i64, d: i64) -> Ratio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bigint::tests::{canonical, Edge};
+    use proptest::prelude::*;
+
+    fn big(x: i128) -> BigInt {
+        BigInt::from(x)
+    }
+
+    /// Lowest terms, positive denominator, canonical integers.
+    fn canonical_ratio(r: &Ratio) -> bool {
+        canonical(r.numer())
+            && canonical(r.denom())
+            && r.denom().is_positive()
+            && (r.numer().gcd(r.denom()).is_one() || r.is_zero() && r.denom().is_one())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every `i128` fast path agrees with the two-`BigInt` path on the
+        /// same operands, including where the result spills out of `i64`.
+        #[test]
+        fn fast_paths_match_bigint_path(an in Edge, ad in Edge, bn in Edge, bd in Edge) {
+            prop_assume!(ad != 0 && bd != 0);
+            let x = Ratio::from_bigints(big(an), big(ad));
+            let y = Ratio::from_bigints(big(bn), big(bd));
+            prop_assert_eq!(&x, &Ratio::from_bigints_big(big(an), big(ad)));
+            prop_assert_eq!(&y, &Ratio::from_bigints_big(big(bn), big(bd)));
+            let (sum, diff, prod) = (&x + &y, &x - &y, &x * &y);
+            prop_assert_eq!(&sum, &x.add_big(&y, false));
+            prop_assert_eq!(&diff, &x.add_big(&y, true));
+            if !x.is_zero() && !y.is_zero() {
+                prop_assert_eq!(&prod, &x.mul_big(&y));
+            }
+            prop_assert_eq!(x.cmp(&y), (x.numer() * y.denom()).cmp(&(y.numer() * x.denom())));
+            prop_assert_eq!(x.to_f64(), x.numer().to_f64() / x.denom().to_f64());
+            for r in [&x, &y, &sum, &diff, &prod] {
+                prop_assert!(canonical_ratio(r), "not canonical: {:?}", r);
+            }
+        }
+
+        /// `to_f64` is exact up to the final rounding wherever the
+        /// answer is a normal `f64`, however far apart the two sides' sizes.
+        #[test]
+        fn to_f64_scales_by_powers_of_two(n in 1i64..(1 << 53), d in 1i64..(1 << 53), k in 0u32..1000) {
+            let want = (n as f64 / d as f64) * 2f64.powi(k as i32);
+            prop_assume!(want.is_finite() && want.is_normal());
+            let r = Ratio::from_bigints(&BigInt::from(n) * &BigInt::from(2).pow(k), BigInt::from(d));
+            prop_assert_eq!(r.to_f64(), want);
+        }
+    }
+
+    #[test]
+    fn to_f64_when_one_side_is_huge() {
+        let two = BigInt::from(2);
+        let r = Ratio::from_bigints(two.pow(950) + BigInt::one(), BigInt::from(3));
+        assert!((r.to_f64() / 3.17e285 - 1.0).abs() < 1e-3, "{}", r.to_f64());
+        assert_eq!(Ratio::from(two.pow(1000)).to_f64(), 2f64.powi(1000));
+        let r = Ratio::from_bigints(BigInt::from(3), two.pow(1000));
+        assert_eq!(r.to_f64(), 3.0 * 2f64.powi(-1000));
+        assert!((r.to_f64() / 2.80e-301 - 1.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn stays_within_64_bytes() {
+        assert!(core::mem::size_of::<Ratio>() <= 64);
+    }
 
     #[test]
     fn construction_normalizes() {
