@@ -158,7 +158,7 @@ pub fn kernel_smoke() {
 
         // The ported divisible formulation rides the same guard.
         let (lp, _) = Divisible::new(m).build(&g).expect("divisible build");
-        option_matrix(&lp, &kernels);
+        let divisible = option_matrix(&lp, &kernels);
 
         rows.push(vec![
             p.to_string(),
@@ -169,9 +169,23 @@ pub fn kernel_smoke() {
                 "{:.1e}",
                 (exact.objective().to_f64() - sparse.objective()).abs()
             ),
+            exact.exact_continuation_pivots().to_string(),
+            divisible[0].1.exact_continuation_pivots().to_string(),
         ]);
     }
-    print_table(&["p", "dense f64", "sparse f64", "exact", "|Δ|"], &rows);
+    print_table(
+        &[
+            "p",
+            "dense f64",
+            "sparse f64",
+            "exact",
+            "|Δ|",
+            "exact cont. ssms",
+            "exact cont. divisible",
+        ],
+        &rows,
+    );
+    println!("exact cont. = pivots the sparse exact solve ran in Ratio after its f64 pre-solve.");
     println!("all kernel/backends agree (asserted; a disagreement panics and fails CI).");
 }
 

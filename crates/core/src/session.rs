@@ -59,6 +59,10 @@ pub struct SolveTelemetry {
     /// composite-repair pivots on a [`WarmOutcome::Repaired`] solve, and
     /// 0 on a pure warm solve.
     pub phase1_iterations: usize,
+    /// Pivots run in exact arithmetic after the `f64` pre-solve of a
+    /// hint-less exact solve (an exact session's first solve); 0 on every
+    /// other solve. Included in [`SolveTelemetry::iterations`].
+    pub exact_continuation_pivots: usize,
     /// Wall-clock of the LP solve proper (lower + pivot), in
     /// milliseconds — formulation build and snapshot capture are billed
     /// separately (see [`SolveTelemetry::build_ms`] and
@@ -339,6 +343,7 @@ impl<S: Scalar, F: Formulation> SolveSession<S, F> {
             outcome: run.outcome,
             iterations: run.solution.iterations(),
             phase1_iterations: run.solution.phase1_iterations(),
+            exact_continuation_pivots: run.solution.exact_continuation_pivots(),
             solve_ms: t0.elapsed().as_secs_f64() * 1e3 - run.snapshot_ms,
             build_ms,
             snapshot_ms: run.snapshot_ms,

@@ -206,3 +206,27 @@ proptest! {
         }
     }
 }
+
+/// Max coupling under the exact path: broadcast (every non-root node a
+/// target, one port per node) at p = 8 over eight platforms. Every exact
+/// optimum must carry a verified duality certificate.
+#[test]
+fn exact_broadcast_max_coupling_certifies() {
+    use ss_core::collective::Collective;
+    use ss_core::master_slave::PortModel;
+    let p = 8usize;
+    for seed in 1..=8u64 {
+        let mut rng = StdRng::seed_from_u64(1000 * seed + p as u64);
+        let (g, root) = topo::random_connected(&mut rng, p, 0.3, &topo::ParamRange::default());
+        let f = Collective {
+            source: root,
+            targets: g.node_ids().filter(|&n| n != root).collect(),
+            coupling: EdgeCoupling::Max,
+            model: PortModel::FullOverlapOnePort,
+        };
+        let (lp, _) = f.build(&g).unwrap();
+        let acts = engine::solve_problem::<Ratio>(&lp).unwrap();
+        lp.verify_optimality(acts.solution())
+            .unwrap_or_else(|e| panic!("seed {seed}: certificate failed: {e}"));
+    }
+}

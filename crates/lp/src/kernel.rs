@@ -10,6 +10,17 @@
 //! scalar, the exact `Ratio` path included; the dense tableau is the
 //! cross-check reference, selected like everything else through
 //! [`SimplexOptions::kernel`].
+//!
+//! The two kernels start a hint-less exact solve differently. The dense
+//! tableau runs the exact two-phase solve from the identity basis, an
+//! oracle that shares no step with the fast path. The sparse kernel
+//! runs the `f64` two-phase solve first, on an `f64` copy of the form
+//! under a pivot budget linear in `m`, and hands its basis to its own
+//! exact warm entry: an optimal `f64` basis is refactorized and proved
+//! in `Ratio` with no pivot, and a wrong one is repaired by the warm
+//! ladder. Only a failed pre-solve leaves the exact two-phase solve to
+//! do the work. The run still reports [`WarmOutcome::Cold`], with both
+//! passes' work summed into its counters.
 
 use crate::scalar::Scalar;
 use crate::simplex::SimplexOptions;

@@ -7,7 +7,11 @@
 //!   arithmetic with Bland's anti-cycling rule. Termination and correctness
 //!   are guaranteed; the answer has *denominators*, which the steady-state
 //!   schedule reconstruction of Beaumont et al. (§4.1) consumes directly
-//!   (period = lcm of denominators).
+//!   (period = lcm of denominators). On the sparse kernel a hint-less
+//!   exact solve lets `f64` find the basis and only proves it in `Ratio`:
+//!   the `f64` solve's basis seeds the exact warm entry, and the exact
+//!   two-phase solve runs only when the `f64` pre-solve fails (see
+//!   [`Solution::exact_continuation_pivots`]).
 //! * `f64` — fast floating-point solving with devex reference pricing
 //!   (see [`pricing`]) and an epsilon ratio test, used for large scaling
 //!   sweeps where exactness is not required. `SimplexOptions { pricing,

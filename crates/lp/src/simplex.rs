@@ -434,6 +434,7 @@ pub(crate) fn solve<S: Scalar>(
         bound_mults,
         iterations: total_iters,
         phase1_iterations: phase1_iters,
+        exact_continuation_pivots: 0,
         pivot_rule: rule,
         pricing: stats,
         factor: FactorStats::default(),

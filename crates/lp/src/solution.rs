@@ -57,6 +57,7 @@ pub struct Solution<S> {
     objective: S,
     iterations: usize,
     phase1_iterations: usize,
+    exact_continuation_pivots: usize,
     pivot_rule: PivotRule,
     kernel: Kernel,
     pricing: PricingStats,
@@ -72,6 +73,7 @@ impl<S: Scalar> Solution<S> {
         objective: S,
         iterations: usize,
         phase1_iterations: usize,
+        exact_continuation_pivots: usize,
         pivot_rule: PivotRule,
         kernel: Kernel,
         pricing: PricingStats,
@@ -84,6 +86,7 @@ impl<S: Scalar> Solution<S> {
             objective,
             iterations,
             phase1_iterations,
+            exact_continuation_pivots,
             pivot_rule,
             kernel,
             pricing,
@@ -152,6 +155,14 @@ impl<S: Scalar> Solution<S> {
     #[inline]
     pub fn phase1_iterations(&self) -> usize {
         self.phase1_iterations
+    }
+
+    /// Pivots run in exact arithmetic after the `f64` pre-solve of a
+    /// hint-less exact solve: 0 when the `f64` basis was already optimal,
+    /// and 0 on every other solve. Included in [`Solution::iterations`].
+    #[inline]
+    pub fn exact_continuation_pivots(&self) -> usize {
+        self.exact_continuation_pivots
     }
 
     /// The entering-variable rule the kernel selected (see [`PivotRule`]).

@@ -69,6 +69,12 @@
 //! that dominate a cold solve. See [`crate::warm`] for the full
 //! five-state machine.
 //!
+//! A hint-less solve on an exact scalar starts in `f64`: the two-phase
+//! solve runs on an `f64` copy of the form, and its basis is handed to
+//! the warm entry above in exact arithmetic, which proves it optimal with
+//! no pivot or repairs it (see `solve_exact_cold`). The exact two-phase
+//! solve from the identity basis runs only when the `f64` pass fails.
+//!
 //! Pivoting rules mirror the dense kernel (see [`crate::pricing`]): Bland
 //! for exact scalars (the anti-cycling guarantee matters — steady-state
 //! LPs are heavily degenerate), devex reference pricing with a Bland
@@ -86,7 +92,7 @@
 use crate::bounded::{
     choose_leaving, choose_leaving_repair, entering_value, improves, shift_basics, Leaving,
 };
-use crate::factor::{Factor, Factorization, RefactorMode, RefactorPolicy};
+use crate::factor::{Factor, FactorStats, Factorization, RefactorMode, RefactorPolicy};
 use crate::kernel::KernelRun;
 use crate::pricing::{Devex, PivotRow, PricingStats};
 use crate::scalar::Scalar;
@@ -285,6 +291,17 @@ pub(crate) struct Engine<'a, S> {
     /// lives and dies with the engine: ≈ 12 bytes per matrix nonzero is
     /// too much to keep on every resident [`StandardForm`].
     pub(crate) pivot_row: Option<PivotRow<S>>,
+    /// Primal steps [`optimize`](Self::optimize) has taken, and how many
+    /// of them phase 1 took: the work of a pass that stopped short.
+    pivots: usize,
+    phase1_pivots: usize,
+    /// Set on the `f64` pre-solve of a hint-less exact solve, which needs
+    /// no anti-cycling guarantee: the exact pass after it has one. The
+    /// loop then never falls back to Bland, and gives up with
+    /// `IterationLimit` once `m + 16` pivots in a row have neither moved
+    /// the objective nor taken the basic artificials below the phase's
+    /// fewest — the degenerate stall a cycling `f64` solve sits in.
+    presolve: bool,
     /// Test instrumentation, `None` outside [`solve_audited`].
     audit: Option<&'a mut CacheAudit>,
 }
@@ -329,6 +346,9 @@ impl<'a, S: Scalar> Engine<'a, S> {
             stats: PricingStats::default(),
             policy: opts.refactor,
             pivot_row: None,
+            pivots: 0,
+            phase1_pivots: 0,
+            presolve: false,
             audit: None,
         }
     }
@@ -753,6 +773,7 @@ impl<'a, S: Scalar> Engine<'a, S> {
         let mut iters = 0usize;
         let greedy_cap = match rule {
             PivotRule::Bland => 0,
+            _ if self.presolve => usize::MAX,
             _ => budget.saturating_div(2),
         };
         let mut devex = matches!(rule, PivotRule::Devex).then(|| Devex::new(self.sf.ncols));
@@ -760,6 +781,10 @@ impl<'a, S: Scalar> Engine<'a, S> {
         // Refactorization count `z` was last seeded at (none yet).
         let mut seeded_at = usize::MAX;
         let mut d = vec![S::zero(); self.sf.m];
+        // Pre-solve stall watch: the fewest basic artificials seen in this
+        // phase, and the pivots since the last objective move or new low.
+        let mut fewest_arts = usize::MAX;
+        let mut stalled = 0usize;
         loop {
             let tp = Instant::now();
             let priced_before = self.stats.priced_columns;
@@ -833,7 +858,18 @@ impl<'a, S: Scalar> Engine<'a, S> {
                 self.audit_cache(cost, active, &z);
             }
             iters += 1;
-            if iters >= *budget {
+            self.pivots += 1;
+            if self.presolve {
+                let art_start = self.sf.art_start;
+                let arts = self.st.basis.iter().filter(|&&b| b >= art_start).count();
+                if step.is_positive() || arts < fewest_arts {
+                    fewest_arts = fewest_arts.min(arts);
+                    stalled = 0;
+                } else {
+                    stalled += 1;
+                }
+            }
+            if iters >= *budget || stalled > self.sf.m + 16 {
                 return Err(SolveError::IterationLimit);
             }
         }
@@ -890,6 +926,7 @@ impl<'a, S: Scalar> Engine<'a, S> {
             bound_mults,
             iterations: total_iters,
             phase1_iterations: phase1_iters,
+            exact_continuation_pivots: 0,
             pivot_rule: opts.pricing.resolve::<S>(),
             pricing: self.stats,
             factor: self.st.factors.stats(),
@@ -922,6 +959,15 @@ fn solve_cold<'e, S: Scalar>(
 ) -> Result<KernelOutput<S>, SolveError> {
     let mut eng = Engine::new(sf, SparseState::cold(sf, opts.factor), opts);
     eng.audit = audit;
+    two_phase(&mut eng, opts)
+}
+
+/// The two-phase solve from the engine's slack/artificial identity basis.
+fn two_phase<S: Scalar>(
+    eng: &mut Engine<'_, S>,
+    opts: &SimplexOptions,
+) -> Result<KernelOutput<S>, SolveError> {
+    let sf = eng.sf;
     let mut budget = opts.budget(sf.m, sf.ncols);
     let mut phase1_iters = 0usize;
 
@@ -932,7 +978,9 @@ fn solve_cold<'e, S: Scalar>(
             *c = S::one().neg();
         }
         let active = vec![true; sf.ncols];
-        let it = eng.optimize(&cost1, &active, opts, &mut budget)?;
+        let it = eng.optimize(&cost1, &active, opts, &mut budget);
+        eng.phase1_pivots = eng.pivots;
+        let it = it?;
         phase1_iters = it;
         budget = budget.saturating_sub(it);
         if budget == 0 {
@@ -963,10 +1011,98 @@ fn solve_cold<'e, S: Scalar>(
     eng.phase2_and_extract(opts, &mut budget, phase1_iters)
 }
 
+/// `f64` pivots the pre-solve of a hint-less exact solve may take before
+/// it is abandoned for the exact two-phase solve. A stall ends it sooner
+/// (see `Engine::presolve`). On the broadcast LPs at p ≤ 10, a
+/// successful `f64` solve needs up to 2.2·(m + 16) pivots; an exact
+/// pivot there costs about ten `f64` ones, so a failed pre-solve wastes
+/// a few percent of the exact solve that follows it.
+fn presolve_budget(m: usize) -> usize {
+    3 * (m + 16)
+}
+
+/// The work of a kernel pass, finished or not: what a hint-less exact
+/// solve adds onto its result from its `f64` pre-solve.
+struct Spent {
+    pivots: usize,
+    phase1_pivots: usize,
+    pricing: PricingStats,
+    factor: FactorStats,
+}
+
+/// Step 1 of a hint-less exact solve: the `f64` two-phase solve on an
+/// `f64` copy of `sf`, capped at [`presolve_budget`] pivots. Returns the
+/// final basis as a hint (`None` when the pre-solve failed) and the work
+/// it did. The `f64` form and output die here, before any exact work
+/// starts.
+fn float_presolve<S: Scalar>(
+    sf: &StandardForm<S>,
+    opts: &SimplexOptions,
+) -> (Option<WarmStart>, Spent) {
+    let sf64 = sf.to_f64();
+    let opts64 = SimplexOptions {
+        max_iterations: presolve_budget(sf.m).min(opts.budget(sf.m, sf.ncols)),
+        ..opts.clone()
+    };
+    let mut eng = Engine::new(&sf64, SparseState::cold(&sf64, opts.factor), &opts64);
+    eng.presolve = true;
+    let hint = two_phase(&mut eng, &opts64)
+        .ok()
+        .map(|out| WarmStart::from_output(&sf64, &out));
+    let spent = Spent {
+        pivots: eng.pivots,
+        phase1_pivots: eng.phase1_pivots,
+        pricing: eng.stats,
+        factor: eng.st.factors.stats(),
+    };
+    (hint, spent)
+}
+
+/// A hint-less solve on an exact scalar: `f64` finds the basis, exact
+/// arithmetic proves it (Applegate–Cook–Dash–Espinoza, *Exact solutions
+/// to linear programming problems*, ORL 2007).
+///
+/// 1. [`float_presolve`] runs the `f64` two-phase solve under a pivot
+///    budget linear in `m`.
+/// 2. Its basis seeds the exact warm entry ([`solve_warm`] with a hint):
+///    an optimal `f64` basis refactorizes exactly and phase 2 proves it
+///    with no pivot; a wrong one is repaired by the warm ladder, whose
+///    last rung is the exact cold solve.
+/// 3. A pre-solve that failed (budget, or a verdict `f64` cannot be
+///    trusted with) hands over to the exact two-phase solve from the
+///    identity basis, which owns every infeasible/unbounded verdict.
+///
+/// The run reports [`WarmOutcome::Cold`] with both passes' work summed;
+/// [`KernelOutput::exact_continuation_pivots`] holds the exact pass's
+/// pivots.
+fn solve_exact_cold<S: Scalar>(
+    sf: &StandardForm<S>,
+    opts: &SimplexOptions,
+) -> Result<KernelRun<S>, SolveError> {
+    let (hint, spent) = float_presolve(sf, opts);
+    let mut run = match hint {
+        Some(h) => solve_warm(sf, opts, Some(&h))?,
+        None => KernelRun {
+            output: solve_cold(sf, opts, None)?,
+            outcome: WarmOutcome::Cold,
+            mismatch: None,
+        },
+    };
+    run.outcome = WarmOutcome::Cold;
+    let out = &mut run.output;
+    out.exact_continuation_pivots = out.iterations;
+    out.iterations += spent.pivots;
+    out.phase1_iterations += spent.phase1_pivots;
+    out.pricing.absorb(&spent.pricing);
+    out.factor.absorb(&spent.factor);
+    Ok(run)
+}
+
 /// Warm-capable solve: reuse the hinted basis + statuses when the
 /// shape matches and the basis refactorizes to a (possibly repaired)
 /// feasible point, skipping phase 1 entirely; otherwise fall back to
-/// the cold two-phase path.
+/// the cold two-phase path. Without a hint, an exact scalar goes through
+/// [`solve_exact_cold`], which comes back here with an `f64` basis.
 ///
 /// The repair ladder when drift broke primal feasibility
 /// (see [`crate::warm`] for the full five-state machine):
@@ -994,6 +1130,9 @@ pub(crate) fn solve_warm<S: Scalar>(
         })
     };
     let Some(w) = warm else {
+        if S::EXACT {
+            return solve_exact_cold(sf, opts);
+        }
         return cold(WarmOutcome::Cold, None);
     };
     if let Some(mm) = w.shape_mismatch(sf) {

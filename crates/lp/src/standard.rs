@@ -124,6 +124,34 @@ impl<S: Scalar> StandardForm<S> {
     pub fn nnz(&self) -> usize {
         self.vals.len()
     }
+
+    /// The same form in `f64`: identical layout, every number rounded.
+    pub(crate) fn to_f64(&self) -> StandardForm<f64> {
+        let cast = |v: &[S]| v.iter().map(S::to_f64).collect::<Vec<f64>>();
+        StandardForm {
+            m: self.m,
+            ncols: self.ncols,
+            nstruct: self.nstruct,
+            art_start: self.art_start,
+            col_ptr: self.col_ptr.clone(),
+            row_idx: self.row_idx.clone(),
+            vals: cast(&self.vals),
+            rhs: cast(&self.rhs),
+            basis0: self.basis0.clone(),
+            witness: self.witness.clone(),
+            flipped: self.flipped.clone(),
+            negate: self.negate,
+            cost2: cast(&self.cost2),
+            num_explicit: self.num_explicit,
+            bound_vars: self.bound_vars.clone(),
+            upper: self
+                .upper
+                .iter()
+                .map(|u| u.as_ref().map(S::to_f64))
+                .collect(),
+            bound_mode: self.bound_mode,
+        }
+    }
 }
 
 /// What a kernel hands back: enough to reconstruct the full [`Solution`]
@@ -146,6 +174,10 @@ pub struct KernelOutput<S> {
     pub iterations: usize,
     /// Pivots spent in phase 1.
     pub phase1_iterations: usize,
+    /// Pivots run in exact arithmetic after the `f64` pre-solve of a
+    /// hint-less exact solve on the sparse kernel; 0 on every other
+    /// solve. Included in [`KernelOutput::iterations`].
+    pub exact_continuation_pivots: usize,
     /// Entering-variable rule the kernel ran with.
     pub pivot_rule: PivotRule,
     /// Pricing work done: columns priced, wall-clock spent selecting
@@ -504,6 +536,7 @@ pub fn assemble<S: Scalar>(
         objective,
         out.iterations,
         out.phase1_iterations,
+        out.exact_continuation_pivots,
         out.pivot_rule,
         kernel,
         out.pricing,

@@ -17,7 +17,10 @@
 //! ([`solve_warm_on`](crate::solve_warm_on)):
 //!
 //! ```text
-//! no hint ──────────────────────────────▶ Cold          (two-phase solve)
+//! no hint, f64 ─────────────────────────▶ Cold          (two-phase solve)
+//! no hint, exact ───────────────────────▶ Cold          (the f64 two-phase
+//!         solve's basis goes through the hinted rows below in exact
+//!         arithmetic; the exact two-phase solve if the f64 pass fails)
 //! hint, shape mismatch / singular ──────▶ ColdFallback  (two-phase solve)
 //! hint, basis refactorizes, feasible ───▶ Warm          (phase 2 only)
 //! hint, some basics out of bounds ──────▶ dual repair: the basis is
@@ -55,7 +58,8 @@ use crate::standard::{KernelOutput, StandardForm};
 /// How a [`solve_warm_on`](crate::solve_warm_on) run actually started.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WarmOutcome {
-    /// No warm hint was supplied: ordinary two-phase cold solve.
+    /// No warm hint was supplied: a two-phase cold solve (on an exact
+    /// scalar, the `f64` one, whose basis the exact warm entry proves).
     Cold,
     /// The warm basis refactorized to a feasible point; phase 1 skipped.
     Warm,

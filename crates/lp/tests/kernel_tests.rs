@@ -5,7 +5,9 @@
 //! for both.
 
 use proptest::prelude::*;
-use ss_lp::{Cmp, Kernel, PivotRule, Problem, Sense, SolveError};
+use ss_lp::{
+    Cmp, Kernel, PivotRule, Problem, Sense, SimplexOptions, SolveError, WarmOutcome, WarmStart,
+};
 use ss_num::Ratio;
 
 fn r(n: i64, d: i64) -> Ratio {
@@ -117,6 +119,9 @@ fn redundant_equality_rows_survive_sparse() {
     assert_eq!(s.objective(), &ri(2));
 }
 
+/// The `f64` pre-solve of a hint-less exact solve reaches the same
+/// verdicts; the exact two-phase solve it hands over to must match the
+/// dense tableau's.
 #[test]
 fn infeasible_and_unbounded_detected_sparse() {
     let mut p = Problem::new(Sense::Maximize);
@@ -124,20 +129,26 @@ fn infeasible_and_unbounded_detected_sparse() {
     p.set_objective_coeff(x, ri(1));
     p.add_constraint("lo", [(x, ri(1))], Cmp::Ge, ri(5));
     p.add_constraint("hi", [(x, ri(1))], Cmp::Le, ri(2));
-    assert_eq!(
-        p.solve_kernel::<Ratio>(Kernel::SparseRevised).unwrap_err(),
-        SolveError::Infeasible
-    );
+    assert_eq!(p.solve_f64().unwrap_err(), SolveError::Infeasible);
+    for k in [Kernel::SparseRevised, Kernel::Dense] {
+        assert_eq!(
+            p.solve_kernel::<Ratio>(k).unwrap_err(),
+            SolveError::Infeasible
+        );
+    }
 
     let mut q = Problem::new(Sense::Maximize);
     let x = q.add_var("x");
     let y = q.add_var("y");
     q.set_objective_coeff(x, ri(1));
     q.add_constraint("c", [(x, ri(1)), (y, ri(-1))], Cmp::Le, ri(1));
-    assert_eq!(
-        q.solve_kernel::<Ratio>(Kernel::SparseRevised).unwrap_err(),
-        SolveError::Unbounded
-    );
+    assert_eq!(q.solve_f64().unwrap_err(), SolveError::Unbounded);
+    for k in [Kernel::SparseRevised, Kernel::Dense] {
+        assert_eq!(
+            q.solve_kernel::<Ratio>(k).unwrap_err(),
+            SolveError::Unbounded
+        );
+    }
 }
 
 #[test]
@@ -209,9 +220,9 @@ fn empty_constraint_set_zero_objective() {
 
 #[test]
 fn long_pivot_chains_cross_reinversion() {
-    // Enough variables and rows that the sparse kernel reinverts its eta
-    // file at least once mid-solve (interval = 64 pivots): a transportation
-    // -style chain where every variable must enter.
+    // Enough variables and rows that the exact pivot loop refactorizes its
+    // basis at least once mid-solve (update cap = 64 pivots): a
+    // transportation-style chain where every variable must enter.
     let n = 90usize;
     let mut p = Problem::new(Sense::Maximize);
     let vars: Vec<_> = (0..n)
@@ -230,10 +241,57 @@ fn long_pivot_chains_cross_reinversion() {
         );
     }
     assert_kernels_agree_exact(&p);
-    let s = p.solve_kernel::<Ratio>(Kernel::SparseRevised).unwrap();
+    // A hint-less exact solve lets `f64` find the basis; the all-slack
+    // hint (feasible: every row is `≤` with a non-negative rhs) keeps
+    // every pivot in exact arithmetic.
+    let sf = ss_lp::lower::<Ratio>(&p);
+    let slack = WarmStart::new(
+        sf.m,
+        sf.ncols,
+        sf.art_start,
+        sf.basis0.clone(),
+        vec![false; sf.ncols],
+    );
+    let run = p
+        .solve_warm_with::<Ratio>(&SimplexOptions::default(), Some(&slack))
+        .unwrap();
+    assert_eq!(run.outcome, WarmOutcome::Warm);
+    assert_eq!(run.solution.exact_continuation_pivots(), 0);
+    assert_eq!(
+        run.solution.objective(),
+        p.solve_exact().unwrap().objective()
+    );
+    let s = &run.solution;
     assert!(
-        s.iterations() > 64,
-        "wanted a reinversion-crossing solve, got {} pivots",
+        s.iterations() > 64 && s.factor().refactorizations > 1,
+        "wanted a reinversion-crossing exact solve, got {} pivots and {} factorizations",
+        s.iterations(),
+        s.factor().refactorizations
+    );
+}
+
+/// An LP whose `f64` pre-solve runs out of pivots: one row and 200 boxed
+/// columns that each flip to their bound, far past a pre-solve budget
+/// linear in the single row. The exact two-phase solve then does all the
+/// work and must reach the dense tableau's optimum.
+#[test]
+fn exhausted_float_presolve_falls_back_to_exact_cold() {
+    let n = 200usize;
+    let mut p = Problem::new(Sense::Maximize);
+    let vars: Vec<_> = (0..n)
+        .map(|i| p.add_var_bounded(format!("x{i}"), ri(1)))
+        .collect();
+    for (i, &v) in vars.iter().enumerate() {
+        p.set_objective_coeff(v, ri(1 + (i % 5) as i64));
+    }
+    let all = vars.iter().map(|&v| (v, ri(1)));
+    p.add_constraint("cap", all, Cmp::Le, ri(1000));
+    assert_kernels_agree_exact(&p);
+    let s = p.solve_exact().unwrap();
+    assert!(
+        s.exact_continuation_pivots() >= n && s.iterations() > n,
+        "wanted the exact cold solve after a spent pre-solve, got {} exact of {} pivots",
+        s.exact_continuation_pivots(),
         s.iterations()
     );
 }
